@@ -89,7 +89,7 @@ pub fn max_concurrent_flow_maxmin<O: TreeOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omcf_overlay::{FixedIpOracle, Session, SessionSet};
+    use omcf_overlay::{DynamicOracle, FixedIpOracle, Session, SessionSet};
     use omcf_topology::{canned, NodeId};
 
     /// Asymmetric setting: session 1 has private capacity session 2 cannot
@@ -161,5 +161,37 @@ mod tests {
         assert!(r[0] > 1.5 * r[1], "session A should absorb its private capacity: {r:?}");
         // The concurrent floor still holds for B.
         assert!(full.throughput >= 0.85 * 10.0, "floor {}", full.throughput);
+    }
+
+    #[test]
+    fn cache_hits_after_the_prepass_and_results_match_uncached() {
+        // Two 8-node rings joined by one bridge, one 2-member session per
+        // ring. Every λ pre-pass run is single-session, so it can never hit
+        // and trips the cache auto-bypass; the concurrent stage and the
+        // residual MaxFlow are runs of their own, where augmenting one
+        // ring leaves the other session's fans valid.
+        let mut b = GraphBuilder::new(16);
+        for base in [0u32, 8] {
+            for i in 0..8 {
+                b.add_edge(NodeId(base + i), NodeId(base + (i + 1) % 8), 10.0);
+            }
+        }
+        b.add_edge(NodeId(2), NodeId(10), 10.0);
+        let g = b.finish();
+        let sessions = SessionSet::new(vec![
+            Session::new(vec![NodeId(0), NodeId(4)], 1.0),
+            Session::new(vec![NodeId(8), NodeId(12)], 1.0),
+        ]);
+        let params = ApproxParams::for_m2(0.5);
+        let cached = DynamicOracle::new(&g, &sessions);
+        let out = max_concurrent_flow_maxmin(&g, &cached, params);
+        let stats = cached.cache_stats();
+        assert!(
+            stats.hits > 0,
+            "a pre-pass trip must not disable the cache for later runs: {stats:?}"
+        );
+        let uncached = DynamicOracle::uncached(&g, &sessions);
+        let reference = max_concurrent_flow_maxmin(&g, &uncached, params);
+        assert_eq!(out.throughput.to_bits(), reference.throughput.to_bits());
     }
 }

@@ -30,25 +30,38 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Baseline for the cache auto-bypass: consecutive epoch-path misses
-/// (with zero hits ever) after which an oracle stops probing its cache
-/// entirely. On instances where hits are structurally impossible — e.g. a
-/// near-tree graph where every augmentation touches every session's fan —
-/// the probe-and-maintain overhead is pure loss; once the threshold is
-/// reached without a single hit the oracle routes epoch-backed queries
-/// straight to the fresh-compute path. The first query round is cold by
-/// construction (hits are only possible from the second round onward), so
-/// each oracle's effective threshold is the larger of this constant and
-/// **twice its total cacheable-entry count** — a large instance cannot
-/// trip the gauge before its caches had a full round to prove themselves.
-/// The gauge is sticky per oracle (results are unaffected either way: a
-/// bypassed query computes exactly what a missed probe would), and any
-/// hit before the threshold disarms it for good.
+/// (with zero hits so far in the engine run) after which an oracle stops
+/// probing its cache for the rest of that run. On runs where hits are
+/// structurally impossible — a near-tree graph where every augmentation
+/// touches every session's fan, or one of M2's single-session λ pre-pass
+/// runs, where every augmentation touches the session's own fan — the
+/// probe-and-maintain overhead is pure loss; once the threshold is reached
+/// without a single hit the oracle routes the run's remaining epoch-backed
+/// queries straight to the fresh-compute path. The first query round is
+/// cold by construction (hits are only possible from the second round
+/// onward), so each oracle's effective threshold is the larger of this
+/// constant and **twice its total cacheable-entry count** — a large
+/// instance cannot trip the gauge before its caches had a full round to
+/// prove themselves. The gauge is scoped to one run, keyed on
+/// [`EdgeEpochs::run_id`](crate::epoch::EdgeEpochs::run_id) like the cache
+/// entries: any hit before the threshold disarms it for the rest of the
+/// run, and the first query of the next run starts it over — unless runs
+/// interleave on the oracle, after which it spans runs (see
+/// `BypassGauge::engaged`). Results are unaffected either way: a bypassed
+/// query computes exactly what a missed probe would.
 const CACHE_BYPASS_MISSES: u64 = 256;
 
-/// Miss-streak tracker backing the cache auto-bypass.
+/// Miss-streak tracker backing the cache auto-bypass, scoped to one
+/// engine run while runs on the oracle follow one another.
 #[derive(Debug)]
 struct BypassGauge {
     threshold: u64,
+    /// The newest run seen; the streak and flags below belong to it (0 =
+    /// none yet; real run ids start at 1).
+    run_id: AtomicU64,
+    /// Set once a query arrives from a run older than `run_id`: runs
+    /// interleave on this oracle, so the gauge stops resetting.
+    interleaved: AtomicBool,
     consecutive_misses: AtomicU64,
     tripped: AtomicBool,
     disarmed: AtomicBool,
@@ -60,10 +73,34 @@ impl BypassGauge {
     fn sized_for(entries: usize) -> Self {
         Self {
             threshold: CACHE_BYPASS_MISSES.max(2 * entries as u64),
+            run_id: AtomicU64::new(0),
+            interleaved: AtomicBool::new(false),
             consecutive_misses: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
             disarmed: AtomicBool::new(false),
         }
+    }
+
+    /// Whether an epoch-backed query of run `run_id` skips the cache. The
+    /// first query of a newer run resets the gauge, so a trip only bypasses
+    /// the rest of the run that earned it. Run ids rise monotonically, so
+    /// a query from an older run means runs interleave on this oracle (a
+    /// parallel ratio sweep on a shared oracle). Their run-keyed entries
+    /// evict each other there, so the gauge then spans runs and never
+    /// resets again. The plain loads keep the common case read-only.
+    fn engaged(&self, run_id: u64) -> bool {
+        if !self.interleaved.load(Ordering::Relaxed) {
+            let newest = self.run_id.load(Ordering::Relaxed);
+            if newest > run_id {
+                self.interleaved.store(true, Ordering::Relaxed);
+            } else if newest < run_id && self.run_id.fetch_max(run_id, Ordering::Relaxed) < run_id {
+                self.consecutive_misses.store(0, Ordering::Relaxed);
+                self.tripped.store(false, Ordering::Relaxed);
+                self.disarmed.store(false, Ordering::Relaxed);
+                return false;
+            }
+        }
+        self.tripped()
     }
 
     fn on_hit(&self) {
@@ -275,9 +312,12 @@ impl FixedIpOracle {
         CacheStats { hits: self.hits.get(), misses: self.misses.get() }
     }
 
-    /// True once the auto-bypass tripped: epoch-backed queries skip the
-    /// cache probe because `CACHE_BYPASS_MISSES` (256) consecutive misses
-    /// accumulated without a single hit.
+    /// True once the auto-bypass tripped during the most recent engine run:
+    /// that run's remaining epoch-backed queries skip the cache probe
+    /// because max(256, 2 × sessions) consecutive misses accumulated in it
+    /// without a single hit. The next run starts the gauge over, unless
+    /// concurrent runs on this oracle interleave; then the gauge, and this
+    /// flag, span all of them.
     #[must_use]
     pub fn cache_bypassed(&self) -> bool {
         self.bypass.tripped()
@@ -314,7 +354,8 @@ impl TreeOracle for FixedIpOracle {
     }
 
     fn min_tree_view(&self, session_idx: usize, view: LengthView<'_>) -> OverlayTree {
-        let Some(epochs) = view.epochs.filter(|_| self.caching && !self.bypass.tripped()) else {
+        let Some(epochs) = view.epochs.filter(|e| self.caching && !self.bypass.engaged(e.run_id()))
+        else {
             if view.epochs.is_some() && self.caching {
                 stats::ORACLE_BYPASSED.inc();
             }
@@ -518,7 +559,9 @@ impl DynamicOracle {
         CacheStats { hits: self.hits.get(), misses: self.misses.get() }
     }
 
-    /// True once the auto-bypass tripped (see [`FixedIpOracle::cache_bypassed`]).
+    /// True once the auto-bypass tripped during the most recent engine run
+    /// (see [`FixedIpOracle::cache_bypassed`]; here the threshold is
+    /// max(256, 2 × total session members), one cacheable fan per member).
     #[must_use]
     pub fn cache_bypassed(&self) -> bool {
         self.bypass.tripped()
@@ -607,7 +650,8 @@ impl TreeOracle for DynamicOracle {
     }
 
     fn min_trees_view(&self, session_ids: &[usize], view: LengthView<'_>) -> Vec<OverlayTree> {
-        let Some(epochs) = view.epochs.filter(|_| self.caching && !self.bypass.tripped()) else {
+        let Some(epochs) = view.epochs.filter(|e| self.caching && !self.bypass.engaged(e.run_id()))
+        else {
             if view.epochs.is_some() && self.caching {
                 stats::ORACLE_BYPASSED.add(session_ids.len() as u64);
             }
@@ -918,7 +962,8 @@ mod tests {
     #[test]
     fn auto_bypass_disarmed_by_an_early_hit() {
         // Re-query without touching anything: the second query hits, which
-        // permanently disarms the gauge no matter how many misses follow.
+        // disarms the gauge for the rest of the run no matter how many
+        // misses follow.
         let g = canned::grid(4, 4, 10.0);
         let sessions =
             SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0)]);
@@ -968,10 +1013,92 @@ mod tests {
             !oracle.cache_bypassed(),
             "the unavoidable cold round must not trip the bypass on a large instance"
         );
-        // Second round: untouched clock ⇒ all hits; gauge disarmed forever.
+        // Second round: untouched clock ⇒ all hits; gauge disarmed for the run.
         let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         assert!(oracle.cache_stats().hits >= 3);
         assert!(!oracle.cache_bypassed());
+    }
+
+    /// 300 queries of session 0 on `clock`, each followed by lengthening
+    /// and touching the tree's edges. On the theta graph with one 2-member
+    /// session every query misses (see
+    /// `auto_bypass_trips_on_hitless_miss_streak_without_changing_results`).
+    fn hitless_streak<O: TreeOracle>(oracle: &O, lengths: &mut [f64], clock: &mut EdgeEpochs) {
+        for _ in 0..300 {
+            let t = oracle.min_tree_view(0, LengthView::with_epochs(lengths, clock));
+            clock.advance();
+            for e in t.edge_multiplicities() {
+                lengths[e.0.idx()] *= 1.01;
+                clock.touch(e.0.idx());
+            }
+        }
+    }
+
+    /// Run 1 on one clock trips the gauge on a hitless streak; run 2, on a
+    /// fresh clock and the same oracle, must probe the cache again and hit
+    /// when it re-queries an untouched session.
+    fn assert_bypass_scoped_to_one_run<O: TreeOracle>(
+        g: &Graph,
+        oracle: &O,
+        bypassed: impl Fn() -> bool,
+        stats: impl Fn() -> CacheStats,
+    ) {
+        let mut lengths = unit_lengths(g);
+        let mut run1 = EdgeEpochs::new(g.edge_count());
+        hitless_streak(oracle, &mut lengths, &mut run1);
+        assert!(bypassed(), "run 1's hitless streak must trip the gauge");
+        assert_eq!(stats().hits, 0);
+        let run2 = EdgeEpochs::new(g.edge_count());
+        let view = LengthView::with_epochs(&lengths, &run2);
+        let cold = oracle.min_tree_view(0, view);
+        let warm = oracle.min_tree_view(0, view);
+        assert_eq!(cold, warm);
+        assert!(stats().hits > 0, "run 2 must hit on an untouched re-query");
+        assert!(!bypassed(), "run 1's trip must not carry into run 2");
+    }
+
+    #[test]
+    fn auto_bypass_is_scoped_to_one_run() {
+        // Theta graph, one 2-member session: run 1 can never hit (see
+        // `auto_bypass_trips_on_hitless_miss_streak_without_changing_results`).
+        let g = canned::theta(1.0);
+        let sessions = SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(4)], 1.0)]);
+        let dynamic = DynamicOracle::new(&g, &sessions);
+        assert_bypass_scoped_to_one_run(
+            &g,
+            &dynamic,
+            || dynamic.cache_bypassed(),
+            || dynamic.cache_stats(),
+        );
+        let fixed = FixedIpOracle::new(&g, &sessions);
+        assert_bypass_scoped_to_one_run(
+            &g,
+            &fixed,
+            || fixed.cache_bypassed(),
+            || fixed.cache_stats(),
+        );
+    }
+
+    #[test]
+    fn interleaved_runs_stop_resetting_the_gauge() {
+        // Two runs in flight on one oracle, as in a parallel ratio sweep on
+        // a shared oracle: the newer run trips the gauge, a later query
+        // from the older run reads it rather than start it over, and from
+        // then on not even a newer run resets it.
+        let g = canned::theta(1.0);
+        let sessions = SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(4)], 1.0)]);
+        let oracle = DynamicOracle::new(&g, &sessions);
+        let mut lengths = unit_lengths(&g);
+        let older = EdgeEpochs::new(g.edge_count());
+        let mut newer = EdgeEpochs::new(g.edge_count());
+        let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &older));
+        hitless_streak(&oracle, &mut lengths, &mut newer);
+        assert!(oracle.cache_bypassed(), "the newer run's hitless streak must trip the gauge");
+        let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &older));
+        assert!(oracle.cache_bypassed(), "an older run's query must not reset the gauge");
+        let newest = EdgeEpochs::new(g.edge_count());
+        let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &newest));
+        assert!(oracle.cache_bypassed(), "once runs interleave, a new run must not reset it");
     }
 
     #[test]

@@ -61,6 +61,7 @@ use omcf_sim::registry;
 use omcf_sim::scenarios::Scale;
 use omcf_sim::sweep::{run_sweep, SweepConfig};
 use omcf_sim::tables::{GridSurface, RatioTable};
+use omcf_telemetry::stats;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -240,7 +241,8 @@ const HELP: &str = "repro [--paper] [--micro] [--seed N] [--out DIR] [--solvers 
   --shards:  shards per scenario for the fleet artifact (default 4). Like\n\
              --threads, it is echoed in the run header; unlike --threads,\n\
              it changes the artifact (more shards = more overlays).\n\
-  --profile: enable telemetry, print the TELEMETRY section, and write the\n\
+  --profile: enable telemetry, print the TELEMETRY section (count-class\n\
+             view, then wall-class oracle-cache lines), and write the\n\
              profile JSON (default <out>/profile.json). Collection never\n\
              changes artifact bytes; see docs/OBSERVABILITY.md.\n\
   --verbose: extra per-artifact diagnostics on stderr.\n\
@@ -479,12 +481,26 @@ fn main() {
 
 /// The `--profile` epilogue: snapshot the run's telemetry, print the
 /// TELEMETRY section (the deterministic, `Class::Count` view — what CI
-/// can diff), and write the full profile JSON (wall-clock metrics and
-/// span timings included) through the sorted-key writer.
+/// can diff) followed by the wall-class oracle-cache lines, and write the
+/// full profile JSON (wall-clock metrics and span timings included)
+/// through the sorted-key writer.
 fn emit_profile(out: &Path, profile_path: &Path) {
     let snap = omcf_telemetry::snapshot();
     println!("== TELEMETRY (count-class metrics; see docs/OBSERVABILITY.md) ==");
     print!("{}", snap.deterministic_view());
+    // Cache health: interleaving-dependent under shared oracles, so kept
+    // out of the diffable view above, but the first thing to read when an
+    // oracle-bound solve is slow.
+    println!("== TELEMETRY wall-class (oracle cache; not diffable across runs) ==");
+    for counter in [
+        &stats::ORACLE_BYPASSED,
+        &stats::ORACLE_DYNAMIC_HITS,
+        &stats::ORACLE_DYNAMIC_MISSES,
+        &stats::ORACLE_FIXED_HITS,
+        &stats::ORACLE_FIXED_MISSES,
+    ] {
+        println!("counter {} {}", counter.name(), counter.value());
+    }
     if let Some(dir) = profile_path.parent() {
         // The default target lives under --out, which may not exist yet
         // when only stdout artifacts were requested.

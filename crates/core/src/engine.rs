@@ -185,6 +185,53 @@ pub enum LengthGrowth {
     },
 }
 
+/// Stop-test guard: the running sum answers "below 1" only under
+/// `stored_one · (1 − 2⁻⁴⁰)`, which leaves room for the full sum's own
+/// rounding (< 2⁻⁵⁰ relative; see `docs/ENGINE.md`, "Dual objective").
+const DUAL_GUARD: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+/// Relative error charged per rounding step of the running sum (8 ulps'
+/// worth of `u = 2⁻⁵³`, ≥ 2× the worst case, so the bound's own rounding
+/// cannot make it too small).
+const DUAL_REL: f64 = 1.0 / (1u64 << 50) as f64;
+/// Absolute error charged per product (`2⁻¹⁰⁷²`: 4× the largest
+/// underflow of one product).
+const DUAL_TINY: f64 = f64::from_bits(4);
+/// Largest edge count the full-sum error bound covers (`n²u² ≤ u/2`);
+/// larger graphs keep the full sum at every test.
+const DUAL_MAX_EDGES: usize = 1 << 26;
+
+/// The running dual objective `D̂ ≈ Σ c_e·d_e` of one engine run, kept
+/// next to an absolute bound `err ≥ |D̂ − D|` on its distance from the
+/// exact sum `D` of the current stored lengths. Every length write adds
+/// `c_e·(d_new − d_old)` to `D̂`, so [`Engine::dual_reached_one`] can
+/// answer "not yet" without reading the edge array whenever
+/// `D̂ + err` is provably below the threshold.
+#[derive(Clone, Copy, Debug)]
+struct RunningDual {
+    sum: f64,
+    err: f64,
+}
+
+impl RunningDual {
+    /// Starts from a full Neumaier sum `full` over `edges` products,
+    /// whose distance from `D` is at most `2⁻⁵⁰·D + n·2⁻¹⁰⁷⁴`; the bound
+    /// also reserves `n·2⁻¹⁰⁷³` for the underflow of the next full sum.
+    /// `None` above [`DUAL_MAX_EDGES`], where that distance is unproven.
+    fn resync(full: f64, edges: usize) -> Option<Self> {
+        (edges <= DUAL_MAX_EDGES)
+            .then_some(Self { sum: full, err: 2.0 * DUAL_REL * full + edges as f64 * DUAL_TINY })
+    }
+
+    /// Folds one length write `old → new` on an edge of capacity `cap`.
+    /// The term's two roundings and the addition's one each cost at most
+    /// `u` relative (plus one product underflow), charged at `DUAL_REL`.
+    fn add_write(&mut self, cap: f64, old: f64, new: f64) {
+        let term = cap * (new - old);
+        self.sum += term;
+        self.err += DUAL_REL * (term.abs() + self.sum.abs()) + DUAL_TINY;
+    }
+}
+
 /// Everything a finished run hands back to its policy.
 #[derive(Clone, Debug)]
 pub struct EngineRun {
@@ -337,6 +384,12 @@ pub struct Engine<'a, O: TreeOracle + ?Sized> {
     pending: Vec<(u32, f64)>,
     /// Dense-sweep scratch for [`ScaledLengths::scale_edges`].
     slab: Vec<f64>,
+    /// The run's running dual objective, started by the first
+    /// [`Self::dual_reached_one`] and kept current by every length write
+    /// after it. It lives here, not on [`EngineState`]: a state resumed
+    /// after a rollback (which may shrink lengths outside any engine)
+    /// starts a new run without one.
+    dual: Option<RunningDual>,
     state: EngineState,
 }
 
@@ -369,6 +422,7 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
             mode: AugmentMode::process_default(),
             pending: Vec::new(),
             slab: Vec::new(),
+            dual: None,
             state,
         }
     }
@@ -404,10 +458,22 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         stats::ENGINE_FLUSH_EDGES.add(self.pending.len() as u64);
         if self.pending.windows(2).all(|w| w[0].0 < w[1].0) {
             stats::ENGINE_FLUSH_SWEEPS.inc();
+            if let Some(dual) = &mut self.dual {
+                // Each edge once: `old * f` is exactly what the sweep writes.
+                for &(e, f) in &self.pending {
+                    let old = self.state.lengths.stored()[e as usize];
+                    dual.add_write(self.g.capacity(EdgeId(e)), old, old * f);
+                }
+            }
             self.state.lengths.scale_edges(&self.pending, &mut self.slab);
         } else {
             for &(e, f) in &self.pending {
+                let old = self.state.lengths.stored()[e as usize];
                 self.state.lengths.scale_edge(e as usize, f);
+                if let Some(dual) = &mut self.dual {
+                    let new = self.state.lengths.stored()[e as usize];
+                    dual.add_write(self.g.capacity(EdgeId(e)), old, new);
+                }
             }
         }
         if matches!(self.growth, LengthGrowth::Online { .. }) {
@@ -529,7 +595,11 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
                 // assert moves there with it).
                 self.pending.push((e.0, factor));
             } else {
+                let old = self.state.lengths.stored()[e.idx()];
                 self.state.lengths.scale_edge(e.idx(), factor);
+                if let Some(dual) = &mut self.dual {
+                    dual.add_write(cap, old, self.state.lengths.stored()[e.idx()]);
+                }
                 if matches!(self.growth, LengthGrowth::Online { .. }) {
                     assert!(
                         self.state.lengths.stored()[e.idx()].is_finite(),
@@ -560,6 +630,28 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         let caps =
             self.caps.get_or_init(|| self.g.edge_ids().map(|e| self.g.capacity(e)).collect());
         self.state.lengths.weighted_sum_stored(caps)
+    }
+
+    /// The paper's stop test `D ≥ 1`, decided exactly as
+    /// `dual_objective_stored() >= stored_one()` would decide it. The
+    /// run's running sum answers `false` on its own while `D̂ + err` is
+    /// below `stored_one · (1 − 2⁻⁴⁰)`, where the full sum is provably
+    /// below 1 too; otherwise the full sum runs, decides, and resyncs
+    /// the running sum to its value. Lengths only grow, so in a
+    /// Garg–Könemann loop only the last few tests pay `O(|E|)`.
+    pub fn dual_reached_one(&mut self) -> bool {
+        self.flush_pending();
+        stats::ENGINE_DUAL_TESTS.inc();
+        let one = self.stored_one();
+        if let Some(dual) = self.dual {
+            if dual.sum + dual.err < one * DUAL_GUARD {
+                return false;
+            }
+        }
+        stats::ENGINE_DUAL_FULL_SUMS.inc();
+        let full = self.dual_objective_stored();
+        self.dual = RunningDual::resync(full, self.g.edge_count());
+        full >= one
     }
 
     /// Stored image of the constant 1 (the stop-test threshold).

@@ -77,7 +77,7 @@ impl DemandPhaseSchedule {
             for i in 0..self.k {
                 let mut dem_rem = self.dem[i];
                 while dem_rem > 0.0 {
-                    if engine.dual_objective_stored() >= engine.stored_one() {
+                    if engine.dual_reached_one() {
                         break 'outer;
                     }
                     let tree = engine.min_tree(i);
@@ -87,7 +87,7 @@ impl DemandPhaseSchedule {
                     engine.augment(tree, c);
                 }
             }
-            if engine.dual_objective_stored() >= engine.stored_one() {
+            if engine.dual_reached_one() {
                 break;
             }
             if phases.is_multiple_of(t_budget) {

@@ -139,3 +139,23 @@ fn collection_never_changes_artifact_bytes() {
     let out = kind.solver().solve(&inst, oracle.as_ref());
     assert!(out.mst_ops > 0, "per-instance mst_ops still counted while disabled");
 }
+
+#[test]
+fn m2_stop_tests_rarely_need_a_full_dual_sum() {
+    // Count-based guard on M2's stop test: one M2 solve of the
+    // 4k-edge fixed-IP scenario makes thousands of `D ≥ 1` tests, and
+    // the running dual sum decides all but a handful of them. A return
+    // of the per-step O(|E|) sum shows up here as full_sums ≈ tests.
+    let _guard = LOCK.lock().unwrap();
+    let inst = registry::find("scale-free-large").unwrap().instance(2004, Scale::Micro);
+    omcf_telemetry::set_enabled(true);
+    omcf_telemetry::reset();
+    let _ = SolverKind::M2.solver().run(&inst);
+    let snap = omcf_telemetry::snapshot();
+    omcf_telemetry::set_enabled(false);
+    omcf_telemetry::reset();
+    let counter = |name: &str| snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value);
+    let (tests, full_sums) = (counter("engine.dual.tests"), counter("engine.dual.full_sums"));
+    assert!(tests >= 1000, "expected thousands of stop tests, got {tests}");
+    assert!((1..=8).contains(&full_sums), "{full_sums} full sums for {tests} stop tests");
+}

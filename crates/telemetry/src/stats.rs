@@ -27,6 +27,11 @@ pub static ENGINE_FLUSH_EDGES: Counter = Counter::new("engine.flush.edges", Clas
 pub static ENGINE_FLUSH_SWEEPS: Counter = Counter::new("engine.flush.sweeps", Class::Count);
 /// Lazy epoch advances latched by augments and applied at the next read.
 pub static ENGINE_EPOCH_ADVANCES: Counter = Counter::new("engine.epoch.advances", Class::Count);
+/// M2 stop tests `D ≥ 1` (`Engine::dual_reached_one` calls).
+pub static ENGINE_DUAL_TESTS: Counter = Counter::new("engine.dual.tests", Class::Count);
+/// Stop tests the running dual sum could not decide, so they ran the
+/// full `O(|E|)` Neumaier sum (`observe_alpha`'s sums are not counted).
+pub static ENGINE_DUAL_FULL_SUMS: Counter = Counter::new("engine.dual.full_sums", Class::Count);
 
 // --- oracle (epoch-cached tree oracles, omcf-overlay) -----------------
 //

@@ -614,7 +614,10 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
 
     /// Reports a normalized minimum tree length `α` (stored scale); the
     /// engine tracks the best weak-duality bound `min D/α` over the run.
+    /// Each call pays a full `O(|E|)` dual sum, so policies call it only
+    /// in runs whose caller reads the bound.
     pub fn observe_alpha(&mut self, alpha_stored: f64) {
+        stats::ENGINE_DUAL_BOUND_SUMS.inc();
         let bound = self.dual_objective_stored() / alpha_stored;
         if bound < self.state.dual_bound {
             self.state.dual_bound = bound;

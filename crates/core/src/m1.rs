@@ -27,6 +27,7 @@ pub struct MaxFlowOutcome {
     /// M1 objective; the ratio guarantee applies to this).
     pub objective: f64,
     /// Best dual bound observed: `OPT ≤ dual_bound` by weak duality.
+    /// `f64::INFINITY` from [`max_flow_subset`], which does not track it.
     pub dual_bound: f64,
     /// Minimum-overlay-spanning-tree computations performed (the paper's
     /// "running time" unit in Tables II/VII).
@@ -59,7 +60,7 @@ pub fn max_flow<O: TreeOracle + ?Sized>(
     params: ApproxParams,
 ) -> MaxFlowOutcome {
     let all: Vec<usize> = (0..oracle.sessions().len()).collect();
-    max_flow_subset(g, oracle, &all, params)
+    run_max_flow(g, oracle, &all, params, true)
 }
 
 /// Table I policy over the [`Engine`]: every iteration recomputes all
@@ -68,6 +69,9 @@ pub fn max_flow<O: TreeOracle + ?Sized>(
 struct GlobalMinSchedule<'s> {
     session_ids: &'s [usize],
     smax: usize,
+    /// Whether to track the weak-duality bound, an `O(|E|)` dual sum per
+    /// iteration. Only runs whose caller reads `dual_bound` pay for it.
+    track_bound: bool,
 }
 
 impl GlobalMinSchedule<'_> {
@@ -86,7 +90,9 @@ impl GlobalMinSchedule<'_> {
 
             // Dual objective D1 = Σ c_e d_e; scale cancels in the ratio, so
             // the weak-duality bound OPT ≤ D1/α is computed in stored scale.
-            engine.observe_alpha(minlen_stored);
+            if self.track_bound {
+                engine.observe_alpha(minlen_stored);
+            }
 
             if minlen_stored >= engine.stored_one() {
                 break;
@@ -98,14 +104,30 @@ impl GlobalMinSchedule<'_> {
     }
 }
 
-/// Runs `MaxFlow` restricted to a subset of sessions (used by the M2
-/// pre-pass to obtain per-session maximum flows λ_i).
+/// Runs `MaxFlow` restricted to a subset of sessions (used by M2's
+/// pre-pass to obtain per-session maximum flows λ_i, and by its residual
+/// max-min completion over all sessions). M2 reads only the primal flow,
+/// so this run skips the weak-duality bound and reports
+/// `dual_bound = f64::INFINITY`; flow, objective and counters are
+/// bit-identical to [`max_flow`] over the same sessions.
 #[must_use]
 pub fn max_flow_subset<O: TreeOracle + ?Sized>(
     g: &Graph,
     oracle: &O,
     session_ids: &[usize],
     params: ApproxParams,
+) -> MaxFlowOutcome {
+    run_max_flow(g, oracle, session_ids, params, false)
+}
+
+/// Table I over `session_ids`; `track_bound` decides whether the run
+/// computes [`MaxFlowOutcome::dual_bound`].
+fn run_max_flow<O: TreeOracle + ?Sized>(
+    g: &Graph,
+    oracle: &O,
+    session_ids: &[usize],
+    params: ApproxParams,
+    track_bound: bool,
 ) -> MaxFlowOutcome {
     assert!(!session_ids.is_empty(), "no sessions selected");
     let sessions = oracle.sessions();
@@ -120,7 +142,7 @@ pub fn max_flow_subset<O: TreeOracle + ?Sized>(
     let lengths = ScaledLengths::new(&vec![1.0; g.edge_count()], ln_delta, ln_top);
 
     let mut engine = Engine::new(g, oracle, lengths, LengthGrowth::Fptas { eps });
-    GlobalMinSchedule { session_ids, smax }.drive(g, &mut engine);
+    GlobalMinSchedule { session_ids, smax, track_bound }.drive(g, &mut engine);
     let run = engine.finish();
 
     // Lemma 2: scale by log_{1+ε}((1+ε)/δ) for primal feasibility.

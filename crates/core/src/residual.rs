@@ -15,9 +15,11 @@
 //! usage from the capacities, run `MaxFlow` on the residual network with
 //! the same oracle, and merge. The first stage fixes the guaranteed
 //! floor; the second never lowers any session, so the floor — and the
-//! fairness objective — is preserved.
+//! fairness objective — is preserved. The second stage runs through
+//! [`max_flow_subset`] over all sessions: the completion uses only its
+//! flow, so it skips the weak-duality bound [`crate::max_flow`] tracks.
 
-use crate::m1::max_flow;
+use crate::m1::max_flow_subset;
 use crate::m2::{max_concurrent_flow, McfOutcome};
 use crate::ratio::ApproxParams;
 use crate::solution::summarize;
@@ -55,17 +57,18 @@ pub fn max_concurrent_flow_maxmin<O: TreeOracle + ?Sized>(
     oracle: &O,
     params: ApproxParams,
 ) -> McfOutcome {
+    let sessions = oracle.sessions();
     let base = max_concurrent_flow(g, oracle, params);
     let used = base.store.edge_flows(g);
     let residual = residual_graph(g, &used);
-    let extra = max_flow(&residual, oracle, ApproxParams::from_eps(params.eps));
+    let all: Vec<usize> = (0..sessions.len()).collect();
+    let extra = max_flow_subset(&residual, oracle, &all, ApproxParams::from_eps(params.eps));
 
     let mut store = base.store;
     store.merge(extra.store);
     // Combined feasibility on the original capacities (floor slack only).
     store.assert_feasible(g, 1e-6);
 
-    let sessions = oracle.sessions();
     let summary = summarize(&store, sessions, g);
     let throughput = summary
         .session_rates
@@ -89,6 +92,7 @@ pub fn max_concurrent_flow_maxmin<O: TreeOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::m1::max_flow;
     use omcf_overlay::{DynamicOracle, FixedIpOracle, Session, SessionSet};
     use omcf_topology::{canned, NodeId};
 

@@ -16,9 +16,12 @@ use omcf_numerics::{NeumaierSum, Rng64, Xoshiro256pp};
 use omcf_overlay::{
     random_sessions, DynamicOracle, FixedIpOracle, Session, SessionSet, TreeOracle,
 };
-use omcf_topology::{canned, Graph, GraphBuilder, NodeId};
+use omcf_topology::{canned, Graph, NodeId};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::random_grid;
 
 /// Serializes the tests: the guard-band test reads process-global
 /// telemetry counters that any concurrent stop test would bump.
@@ -43,26 +46,6 @@ fn full_sum_reached_one<O: TreeOracle + ?Sized>(engine: &mut Engine<'_, O>, g: &
 fn full_sums() -> u64 {
     let snap = omcf_telemetry::snapshot();
     snap.counters.iter().find(|c| c.name == "engine.dual.full_sums").map_or(0, |c| c.value)
-}
-
-/// A 3–5 × 3–5 grid with independent random capacities in [1, 50), so
-/// the products `c_e·d_e` differ edge by edge.
-fn random_grid(rng: &mut Xoshiro256pp) -> Graph {
-    let (rows, cols) = (3 + rng.index(3), 3 + rng.index(3));
-    let id = |r: usize, c: usize| NodeId((r * cols + c) as u32);
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            b.set_position(id(r, c), c as f64, r as f64);
-            if c + 1 < cols {
-                b.add_edge(id(r, c), id(r, c + 1), rng.range_f64(1.0, 50.0));
-            }
-            if r + 1 < rows {
-                b.add_edge(id(r, c), id(r + 1, c), rng.range_f64(1.0, 50.0));
-            }
-        }
-    }
-    b.finish()
 }
 
 /// Runs M2's loop by hand from M2's initial lengths (`δ/c_e` under the

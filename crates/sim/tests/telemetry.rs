@@ -16,7 +16,7 @@
 //! All tests share process-global telemetry state, so they serialize on
 //! one mutex and reset the registry around every run.
 
-use omcf_core::solver::SolverKind;
+use omcf_core::solver::{SolverKind, SolverOutcome};
 use omcf_core::Parallelism;
 use omcf_runtime::{replay_churn, ReplayConfig};
 use omcf_sim::registry;
@@ -140,6 +140,23 @@ fn collection_never_changes_artifact_bytes() {
     assert!(out.mst_ops > 0, "per-instance mst_ops still counted while disabled");
 }
 
+/// Solves `scale-free-large@2004` at `Scale::Micro` with `kind` under
+/// fresh telemetry, returning the outcome and the counter snapshot.
+fn solve_large(kind: SolverKind) -> (SolverOutcome, omcf_telemetry::Snapshot) {
+    let inst = registry::find("scale-free-large").unwrap().instance(2004, Scale::Micro);
+    omcf_telemetry::set_enabled(true);
+    omcf_telemetry::reset();
+    let out = kind.solver().run(&inst);
+    let snap = omcf_telemetry::snapshot();
+    omcf_telemetry::set_enabled(false);
+    omcf_telemetry::reset();
+    (out, snap)
+}
+
+fn counter(snap: &omcf_telemetry::Snapshot, name: &str) -> u64 {
+    snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+}
+
 #[test]
 fn m2_stop_tests_rarely_need_a_full_dual_sum() {
     // Count-based guard on M2's stop test: one M2 solve of the
@@ -147,15 +164,25 @@ fn m2_stop_tests_rarely_need_a_full_dual_sum() {
     // the running dual sum decides all but a handful of them. A return
     // of the per-step O(|E|) sum shows up here as full_sums ≈ tests.
     let _guard = LOCK.lock().unwrap();
-    let inst = registry::find("scale-free-large").unwrap().instance(2004, Scale::Micro);
-    omcf_telemetry::set_enabled(true);
-    omcf_telemetry::reset();
-    let _ = SolverKind::M2.solver().run(&inst);
-    let snap = omcf_telemetry::snapshot();
-    omcf_telemetry::set_enabled(false);
-    omcf_telemetry::reset();
-    let counter = |name: &str| snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value);
-    let (tests, full_sums) = (counter("engine.dual.tests"), counter("engine.dual.full_sums"));
+    let (_, snap) = solve_large(SolverKind::M2);
+    let (tests, full_sums) =
+        (counter(&snap, "engine.dual.tests"), counter(&snap, "engine.dual.full_sums"));
     assert!(tests >= 1000, "expected thousands of stop tests, got {tests}");
     assert!((1..=8).contains(&full_sums), "{full_sums} full sums for {tests} stop tests");
+}
+
+#[test]
+fn only_solvers_that_report_a_bound_pay_for_bound_sums() {
+    // Count-based guard on `observe_alpha`'s O(|E|) sums. M1 makes one
+    // per iteration plus one for the tree that stops it, Fleischer one
+    // after its first sweep and one after its last; M2 reports no bound,
+    // so its λ pre-pass and residual MaxFlow runs make none.
+    let _guard = LOCK.lock().unwrap();
+    let bound_sums = |snap: &omcf_telemetry::Snapshot| counter(snap, "engine.dual.bound_sums");
+    let (_, m2) = solve_large(SolverKind::M2);
+    assert_eq!(bound_sums(&m2), 0, "M2 computed a bound it never reads");
+    let (m1_out, m1) = solve_large(SolverKind::M1);
+    assert_eq!(bound_sums(&m1), m1_out.iterations + 1, "M1 bound sums");
+    let (_, fleischer) = solve_large(SolverKind::M1Fleischer);
+    assert_eq!(bound_sums(&fleischer), 2, "Fleischer bound sums");
 }

@@ -30,8 +30,12 @@ pub static ENGINE_EPOCH_ADVANCES: Counter = Counter::new("engine.epoch.advances"
 /// M2 stop tests `D ≥ 1` (`Engine::dual_reached_one` calls).
 pub static ENGINE_DUAL_TESTS: Counter = Counter::new("engine.dual.tests", Class::Count);
 /// Stop tests the running dual sum could not decide, so they ran the
-/// full `O(|E|)` Neumaier sum (`observe_alpha`'s sums are not counted).
+/// full `O(|E|)` Neumaier sum (bound sums are counted apart, below).
 pub static ENGINE_DUAL_FULL_SUMS: Counter = Counter::new("engine.dual.full_sums", Class::Count);
+/// Weak-duality bound updates (`Engine::observe_alpha` calls), each a
+/// full `O(|E|)` Neumaier sum: one per iteration plus one for a `max_flow`
+/// run, two for Fleischer, none for M2's inner `MaxFlow` runs.
+pub static ENGINE_DUAL_BOUND_SUMS: Counter = Counter::new("engine.dual.bound_sums", Class::Count);
 
 // --- oracle (epoch-cached tree oracles, omcf-overlay) -----------------
 //

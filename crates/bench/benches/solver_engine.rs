@@ -57,15 +57,16 @@ fn waxman_sessions(members: usize) -> (Graph, SessionSet) {
 
 /// The multi-session instance, 3-member sessions: augmenting one
 /// session's tree usually misses the other sessions' fans, so the epoch
-/// cache gets real hits (~65% of member Dijkstras).
+/// cache gets real hits (~65% of the fans Prim reads).
 fn multi_session() -> (Graph, SessionSet) {
     waxman_sessions(3)
 }
 
-/// The M2 instance, the same graph with 2-member sessions. Both fans of a
-/// 2-member session follow the one route its tree uses, so every
-/// single-session λ pre-pass run misses on every query and trips the
-/// cache auto-bypass, while the later stages hit on other sessions' fans.
+/// The M2 instance, the same graph with 2-member sessions. Prim reads one
+/// fan of a 2-member session, and its tree uses that fan's one route, so
+/// every single-session λ pre-pass run misses on every query and trips
+/// the cache auto-bypass, while the later stages hit on other sessions'
+/// fans.
 fn session_pairs() -> (Graph, SessionSet) {
     waxman_sessions(2)
 }

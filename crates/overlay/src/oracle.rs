@@ -8,22 +8,26 @@
 //! ## Epoch-aware caching
 //!
 //! The solver engine (`omcf-core::engine`) passes a [`LengthView`] carrying
-//! an [`EdgeEpochs`](crate::epoch::EdgeEpochs) touch clock alongside the
-//! lengths. Because the engine
+//! an [`EdgeEpochs`] touch clock alongside the lengths. Because the engine
 //! only ever *grows* lengths, an oracle may keep its last answer and serve
 //! it again whenever no edge its cached routes traverse has been touched
 //! since — the cached answer is provably the one a fresh computation would
-//! produce (see `docs/ENGINE.md`). [`DynamicOracle`] caches per session
-//! *member*: one shortest-path fan (distances + paths to the other members)
-//! per source, recomputing only the sources whose routes crossed a touched
-//! edge. [`FixedIpOracle`]'s routes are frozen, so it caches the finished
-//! tree per session and revalidates against the session's covered edge set.
+//! produce (see `docs/ENGINE.md`). [`DynamicOracle`] lets Prim decide
+//! which Dijkstras run: a member's shortest-path fan (distances and paths
+//! to its co-members) is computed only when Prim reads its row, right
+//! after the member joins the tree, so the member attached last never
+//! runs one. Each fan is cached and served again while none of its paths
+//! crossed a touched edge. [`FixedIpOracle`]'s routes are frozen, so it
+//! caches the finished tree per session and revalidates against the
+//! session's covered edge set.
 //! Plain [`TreeOracle::min_tree`] calls (no epochs) always recompute.
 
-use crate::epoch::LengthView;
+use crate::epoch::{EdgeEpochs, LengthView};
 use crate::session::SessionSet;
 use crate::tree::{OverlayHop, OverlayTree};
-use omcf_routing::{fan_width, run_fan_chunks_with, FixedRoutes, Path, QueueKind, WorkspacePool};
+use omcf_routing::{
+    fan_width, run_fan_chunks_with, BatchDijkstra, FixedRoutes, Path, QueueKind, WorkspacePool,
+};
 use omcf_telemetry::{stats, OwnedCounter};
 use omcf_topology::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +35,9 @@ use std::sync::{Arc, Mutex};
 
 /// Baseline for the cache auto-bypass: consecutive epoch-path misses
 /// (with zero hits so far in the engine run) after which an oracle stops
-/// probing its cache for the rest of that run. On runs where hits are
+/// probing its cache for the rest of that run. A miss is one fan Prim
+/// reads for the dynamic oracle (m − 1 per cold query of an m-member
+/// session) and one query for the fixed oracle. On runs where hits are
 /// structurally impossible — a near-tree graph where every augmentation
 /// touches every session's fan, or one of M2's single-session λ pre-pass
 /// runs, where every augmentation touches the session's own fan — the
@@ -43,12 +49,12 @@ use std::sync::{Arc, Mutex};
 /// constant and **twice its total cacheable-entry count** — a large
 /// instance cannot trip the gauge before its caches had a full round to
 /// prove themselves. The gauge is scoped to one run, keyed on
-/// [`EdgeEpochs::run_id`](crate::epoch::EdgeEpochs::run_id) like the cache
-/// entries: any hit before the threshold disarms it for the rest of the
-/// run, and the first query of the next run starts it over — unless runs
-/// interleave on the oracle, after which it spans runs (see
-/// `BypassGauge::engaged`). Results are unaffected either way: a bypassed
-/// query computes exactly what a missed probe would.
+/// [`EdgeEpochs::run_id`] like the cache entries: any hit before the
+/// threshold disarms it for the rest of the run, and the first query of
+/// the next run starts it over — unless runs interleave on the oracle,
+/// after which it spans runs (see `BypassGauge::engaged`). Results are
+/// unaffected either way: a bypassed query computes exactly what a missed
+/// probe would.
 const CACHE_BYPASS_MISSES: u64 = 256;
 
 /// Miss-streak tracker backing the cache auto-bypass, scoped to one
@@ -168,46 +174,82 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Dense Prim MST over `m` overlay nodes with a weight closure.
-/// Deterministic: among equal-weight candidates the lowest-index vertex
-/// attaches first. Returns `parent[i]` for `i ≥ 1` in attach order.
-/// Degenerate inputs (`m < 2`) have no overlay links: returns no edges.
-fn prim_dense(m: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
-    if m < 2 {
-        // A single-member (or empty) overlay has an empty spanning tree;
-        // returning early keeps release builds from underflowing `m - 1`.
-        return Vec::new();
+/// Dense Prim MST over `m` overlay nodes, one attach per [`Self::step`].
+/// Member 0 starts the tree. Each step reads the row of the member
+/// attached last, at the members still outside the tree only, then
+/// attaches the cheapest fringe vertex (lowest index wins ties). So a
+/// row is read only after its member joins the tree, and the row of the
+/// member attached last is never read. [`prim_dense`] drives it from a
+/// weight closure; [`DynamicOracle`] steps many at once and computes only
+/// the fans the next step reads.
+struct Prim {
+    in_tree: Vec<bool>,
+    best: Vec<f64>,
+    parent: Vec<usize>,
+    /// `(parent, child)` per attach, in attach order.
+    edges: Vec<(usize, usize)>,
+    /// The member attached last: whose row the next step reads.
+    last: usize,
+}
+
+impl Prim {
+    fn new(m: usize) -> Self {
+        let mut in_tree = vec![false; m];
+        if let Some(root) = in_tree.first_mut() {
+            *root = true;
+        }
+        Self {
+            in_tree,
+            best: vec![f64::INFINITY; m],
+            parent: vec![0; m],
+            edges: Vec::with_capacity(m.saturating_sub(1)),
+            last: 0,
+        }
     }
-    let mut in_tree = vec![false; m];
-    let mut best = vec![f64::INFINITY; m];
-    let mut parent = vec![0usize; m];
-    in_tree[0] = true;
-    for (j, slot) in best.iter_mut().enumerate().skip(1) {
-        *slot = weight(0, j);
+
+    /// The member whose row the next step reads, or `None` once the tree
+    /// spans every member. A single-member (or empty) overlay has an empty
+    /// spanning tree and reads nothing.
+    fn reader(&self) -> Option<usize> {
+        (self.edges.len() + 1 < self.in_tree.len()).then_some(self.last)
     }
-    let mut edges = Vec::with_capacity(m - 1);
-    for _ in 1..m {
-        // Pick the cheapest fringe vertex (lowest index wins ties).
+
+    /// Relaxes the fringe with the reader's row (`row(j)` = its weight to
+    /// member `j`), then attaches the cheapest fringe vertex. Call only
+    /// while [`Self::reader`] is `Some`.
+    fn step(&mut self, row: impl Fn(usize) -> f64) {
+        let a = self.last;
         let mut pick = usize::MAX;
-        for j in 0..m {
-            if !in_tree[j] && (pick == usize::MAX || best[j] < best[pick]) {
+        for j in 0..self.in_tree.len() {
+            if self.in_tree[j] {
+                continue;
+            }
+            let w = row(j);
+            if w < self.best[j] {
+                self.best[j] = w;
+                self.parent[j] = a;
+            }
+            if pick == usize::MAX || self.best[j] < self.best[pick] {
                 pick = j;
             }
         }
-        assert!(best[pick].is_finite(), "overlay graph must be complete/connected");
-        in_tree[pick] = true;
-        edges.push((parent[pick], pick));
-        for j in 0..m {
-            if !in_tree[j] {
-                let w = weight(pick, j);
-                if w < best[j] {
-                    best[j] = w;
-                    parent[j] = pick;
-                }
-            }
-        }
+        assert!(self.best[pick].is_finite(), "overlay graph must be complete/connected");
+        self.in_tree[pick] = true;
+        self.edges.push((self.parent[pick], pick));
+        self.last = pick;
     }
-    edges
+}
+
+/// Dense Prim MST over `m` overlay nodes with a weight closure.
+/// Deterministic: among equal-weight candidates the lowest-index vertex
+/// attaches first. Returns `(parent, child)` per attach, in attach order.
+/// Degenerate inputs (`m < 2`) have no overlay links: returns no edges.
+fn prim_dense(m: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
+    let mut prim = Prim::new(m);
+    while let Some(a) = prim.reader() {
+        prim.step(|j| weight(a, j));
+    }
+    prim.edges
 }
 
 /// Cached finished tree of one fixed-routing session.
@@ -396,16 +438,12 @@ impl TreeOracle for FixedIpOracle {
     }
 }
 
-/// One session member's cached shortest-path fan: exactly the member-level
-/// data the oracle ever reads back — distances and paths to the member's
-/// co-members (indexed by member position) — plus the physical edges those
-/// paths traverse (the invalidation key). Storing the extracted fan
-/// instead of a whole retained Dijkstra workspace keeps entries compact
-/// and lets misses recompute through shared [`BatchDijkstra`] lanes
-/// (several stale members per CSR pass) rather than one workspace run per
-/// member.
-///
-/// [`BatchDijkstra`]: omcf_routing::BatchDijkstra
+/// One session member's shortest-path fan: exactly the member-level data
+/// Prim reads back — distances and paths to the member's co-members
+/// (indexed by member position) — plus the physical edges those paths
+/// traverse (the invalidation key). Cached fans live in the oracle's
+/// epoch cache; uncached queries fill scratch fans that die with the
+/// query.
 #[derive(Debug, Default)]
 struct FanCache {
     /// 0 = never filled (real run ids start at 1).
@@ -419,37 +457,73 @@ struct FanCache {
     paths: Vec<Path>,
 }
 
+impl FanCache {
+    /// Whether a read in the run of `epochs` may use this entry: it is
+    /// from this run and none of its path edges were touched since its
+    /// epoch, so every path is exactly what a fresh run would settle
+    /// (`docs/ENGINE.md`, "The caching contract").
+    fn serves(&self, epochs: &EdgeEpochs) -> bool {
+        self.run_id == epochs.run_id() && epochs.none_touched_since(&self.fan_edges, self.epoch)
+    }
+
+    /// Refills the fan from lane `lane` of `batch`, one entry per member.
+    fn fill(&mut self, batch: &BatchDijkstra, lane: usize, members: &[NodeId]) {
+        self.dists.clear();
+        self.paths.clear();
+        for &b in members {
+            self.dists.push(batch.dist(lane, b));
+            self.paths
+                .push(batch.path_to(lane, b).expect("connected graph: member must be reachable"));
+        }
+    }
+
+    /// Stamps a freshly filled fan as computed now under `epochs`, keyed
+    /// on the edges of its paths.
+    fn stamp(&mut self, epochs: &EdgeEpochs) {
+        self.fan_edges.clear();
+        for path in &self.paths {
+            self.fan_edges.extend(path.edges.iter().map(|e| e.0));
+        }
+        self.fan_edges.sort_unstable();
+        self.fan_edges.dedup();
+        self.run_id = epochs.run_id();
+        self.epoch = epochs.current();
+    }
+}
+
+/// Never-filled fans for the `m` members of one session.
+fn empty_fans(m: usize) -> Vec<FanCache> {
+    (0..m).map(|_| FanCache::default()).collect()
+}
+
 #[derive(Debug, Default)]
 struct DynState {
-    /// `fans[session][member]`, allocated lazily on first epoch-backed use.
-    fans: Vec<Vec<Option<FanCache>>>,
+    /// `fans[session][member]`.
+    fans: Vec<Vec<FanCache>>,
 }
 
 impl DynState {
     fn new(sessions: &SessionSet) -> Self {
-        Self {
-            fans: sessions
-                .sessions()
-                .iter()
-                .map(|s| (0..s.size()).map(|_| None).collect())
-                .collect(),
-        }
+        Self { fans: sessions.sessions().iter().map(|s| empty_fans(s.size())).collect() }
     }
 }
 
 /// Oracle under **arbitrary dynamic routing** (§V): overlay edges follow the
-/// shortest path under the *current* lengths, recomputed per call via one
-/// Dijkstra per session member. Both query paths run their member fans
-/// through [`BatchDijkstra`](omcf_routing::BatchDijkstra) engines at the
-/// calibrated [`fan_width`] — early-exit source
-/// lanes, chunks split across the pool's
-/// [`Parallelism`](omcf_numerics::Parallelism) workers —
-/// and epoch-backed queries additionally skip the Dijkstra entirely for
-/// members whose cached fan avoids every edge touched since it was
-/// computed (exact under monotone length growth). The batched
-/// [`TreeOracle::min_trees_view`] recomputes stale members of *different*
-/// sessions in shared lanes. All results are bit-identical to per-source
-/// serial recomputation. All Dijkstras run the CSR core with the oracle's
+/// shortest path under the *current* lengths. Prim decides which
+/// Dijkstras run. A query advances one `Prim` per queried session in
+/// rounds: round 0 reads each session's member-0 fan, and round r the fan
+/// of the member that session attached at step r. The member attached
+/// last never runs a fan. Each round's fans, across all queried
+/// sessions, go through one [`run_fan_chunks_with`] call: early-exit
+/// [`BatchDijkstra`] lanes at the calibrated [`fan_width`], chunks split
+/// across the pool's [`Parallelism`](omcf_numerics::Parallelism)
+/// workers, all rounds of a query reading one arc-order gather of its
+/// lengths. Epoch-backed queries skip the Dijkstra for a fan whose cached
+/// entry avoids every edge touched since it was computed (exact under
+/// monotone length growth). Uncached, bypassed and lock-contended queries
+/// run the same rounds with scratch fans. Trees are bit-identical to Prim
+/// over full per-member Dijkstras: early exit settles each member exactly
+/// as a full run does. All Dijkstras run the CSR core with the oracle's
 /// configured [`QueueKind`].
 #[derive(Debug)]
 pub struct DynamicOracle {
@@ -541,7 +615,7 @@ impl DynamicOracle {
     }
 
     /// Like [`Self::new`] but with the epoch path disabled: every query
-    /// recomputes the whole member fan, exactly like the plain
+    /// computes each fan Prim reads afresh, exactly like the plain
     /// [`TreeOracle::min_tree`] interface. Benchmark / verification
     /// baseline.
     #[must_use]
@@ -549,11 +623,11 @@ impl DynamicOracle {
         Self::build(g, sessions, false, None)
     }
 
-    /// Cache hit/miss counts (per member-level Dijkstra) since
-    /// construction. Plain-interface queries count as misses. Thin
-    /// forwarding shim: the counts live in telemetry [`OwnedCounter`]s,
-    /// which also mirror into the process-wide `oracle.dynamic.cache.*`
-    /// aggregates whenever telemetry is enabled.
+    /// Cache hit/miss counts since construction, one per fan Prim reads
+    /// (m − 1 per query of an m-member session). Plain-interface queries
+    /// count as misses. Thin forwarding shim: the counts live in telemetry
+    /// [`OwnedCounter`]s, which also mirror into the process-wide
+    /// `oracle.dynamic.cache.*` aggregates whenever telemetry is enabled.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats { hits: self.hits.get(), misses: self.misses.get() }
@@ -567,78 +641,118 @@ impl DynamicOracle {
         self.bypass.tripped()
     }
 
-    /// The uncached fan computation behind [`TreeOracle::min_tree`] and
-    /// every cache-bypassing query path: *all* queried sessions' member
-    /// fans run through [`BatchDijkstra`] engines at the calibrated
-    /// [`fan_width`] — lanes packed in job order regardless of session
-    /// boundaries — then each session's tree is assembled from its own
-    /// lanes. One SPT per member under the live lengths (the §V-B
-    /// procedure), each lane early-exiting once its session's members are
-    /// all settled: Prim only ever reads member-to-member distances, and
-    /// settled values are identical to full per-source runs.
-    ///
-    /// [`BatchDijkstra`]: omcf_routing::BatchDijkstra
-    fn min_trees_batched(&self, session_ids: &[usize], lengths: &[f64]) -> Vec<OverlayTree> {
-        let mut jobs: Vec<(NodeId, &[NodeId])> = Vec::new();
-        for &s in session_ids {
-            let members = &self.sessions.session(s).members;
-            self.misses.add(members.len() as u64);
-            // A single-member (or empty) overlay has an empty spanning
-            // tree; no fan to compute.
-            if members.len() >= 2 {
-                jobs.extend(members.iter().map(|&src| (src, &members[..])));
+    /// The one query routine behind every path: the trees of `session_ids`
+    /// under `lengths`, with Prim deciding which Dijkstras run. Each round
+    /// steps every unfinished session's [`Prim`] once. The fans it reads
+    /// come from `cache` (the oracle's fans, by session, probed against the
+    /// epoch clock) or, without one, from scratch fans per queried
+    /// session. Fans that cannot be served, all of the round's, are
+    /// computed in one [`run_fan_chunks_with`] call, each stopping once its
+    /// co-members are settled; the first such round gathers the lengths
+    /// into arc order for all of them. On the cached path a repeated
+    /// session id reads the fans of its first occurrence, so its reads are
+    /// hits, as on an untouched re-query; scratch fans belong to one
+    /// queried position, so there a repeated id computes its own.
+    fn min_trees_rounds(
+        &self,
+        session_ids: &[usize],
+        lengths: &[f64],
+        cache: Option<(&mut DynState, &EdgeEpochs)>,
+    ) -> Vec<OverlayTree> {
+        let members = |q: usize| &self.sessions.session(session_ids[q]).members[..];
+        let mut scratch;
+        let (fans, epochs) = match cache {
+            Some((st, epochs)) => (&mut st.fans, Some(epochs)),
+            None => {
+                scratch = (0..session_ids.len()).map(|q| empty_fans(members(q).len())).collect();
+                (&mut scratch, None)
+            }
+        };
+        let slot = |q: usize| if epochs.is_some() { session_ids[q] } else { q };
+        let mut prims: Vec<Prim> =
+            (0..session_ids.len()).map(|q| Prim::new(members(q).len())).collect();
+        let width = fan_width(self.g.node_count());
+        // Per round: the fans to compute, as (query, member).
+        let mut stale: Vec<(usize, usize)> = Vec::new();
+        // The lengths in arc order, gathered at the first round with fans
+        // to compute and shared by every later round of the query.
+        let mut arcs: Option<Vec<f64>> = None;
+        while prims.iter().any(|p| p.reader().is_some()) {
+            stale.clear();
+            for (q, prim) in prims.iter().enumerate() {
+                let Some(a) = prim.reader() else { continue };
+                if let Some(epochs) = epochs {
+                    let served = fans[slot(q)][a].serves(epochs)
+                        || stale.iter().any(|&(p, b)| slot(p) == slot(q) && b == a);
+                    if served {
+                        self.hits.inc();
+                        self.bypass.on_hit();
+                        continue;
+                    }
+                    self.bypass.on_miss();
+                }
+                self.misses.inc();
+                stale.push((q, a));
+            }
+            if !stale.is_empty() {
+                let jobs: Vec<(NodeId, &[NodeId])> =
+                    stale.iter().map(|&(q, a)| (members(q)[a], members(q))).collect();
+                let arcs = arcs.get_or_insert_with(|| {
+                    let mut arcs = self.pool.lease_mirror();
+                    self.g.csr().fill_arc_lengths(lengths, &mut arcs);
+                    stats::ROUTING_MIRROR_GATHERS.inc();
+                    stats::ROUTING_MIRROR_ARCS.add(arcs.len() as u64);
+                    arcs
+                });
+                let engines = run_fan_chunks_with(
+                    &self.g,
+                    &jobs,
+                    lengths,
+                    arcs,
+                    &self.pool,
+                    self.queue,
+                    self.pool.parallelism(),
+                );
+                for (job, &(q, a)) in stale.iter().enumerate() {
+                    let fan = &mut fans[slot(q)][a];
+                    fan.fill(&engines[job / width], job % width, members(q));
+                    if let Some(epochs) = epochs {
+                        fan.stamp(epochs);
+                    }
+                }
+                for batch in engines {
+                    self.pool.give_back_batch(batch);
+                }
+            }
+            for (q, prim) in prims.iter_mut().enumerate() {
+                if let Some(a) = prim.reader() {
+                    let fan = &fans[slot(q)][a];
+                    prim.step(|b| fan.dists[b]);
+                }
             }
         }
-        let engines = run_fan_chunks_with(
-            &self.g,
-            &jobs,
-            lengths,
-            &self.pool,
-            self.queue,
-            self.pool.parallelism(),
-        );
-        let width = fan_width(self.g.node_count());
-        let lane = |a: usize| (&engines[a / width], a % width);
-        let mut base = 0usize;
-        let trees = session_ids
-            .iter()
-            .map(|&s| {
-                let members = &self.sessions.session(s).members;
-                let m = members.len();
-                if m < 2 {
-                    return OverlayTree { session: s, hops: Vec::new() };
-                }
-                let edges = prim_dense(m, |a, b| {
-                    let (batch, l) = lane(base + a);
-                    batch.dist(l, members[b])
-                });
-                let hops = edges
-                    .into_iter()
-                    .map(|(a, b)| {
-                        let (batch, l) = lane(base + a);
-                        OverlayHop {
-                            a,
-                            b,
-                            path: batch
-                                .path_to(l, members[b])
-                                .expect("connected graph: member must be reachable"),
-                        }
-                    })
-                    .collect();
-                base += m;
-                OverlayTree { session: s, hops }
-            })
-            .collect();
-        for batch in engines {
-            self.pool.give_back_batch(batch);
+        if let Some(arcs) = arcs {
+            self.pool.give_back_mirror(arcs);
         }
-        trees
+        prims
+            .into_iter()
+            .enumerate()
+            .map(|(q, prim)| {
+                let fans = &fans[slot(q)];
+                let hops = prim
+                    .edges
+                    .into_iter()
+                    .map(|(a, b)| OverlayHop { a, b, path: fans[a].paths[b].clone() })
+                    .collect();
+                OverlayTree { session: session_ids[q], hops }
+            })
+            .collect()
     }
 }
 
 impl TreeOracle for DynamicOracle {
     fn min_tree(&self, session_idx: usize, lengths: &[f64]) -> OverlayTree {
-        self.min_trees_batched(std::slice::from_ref(&session_idx), lengths)
+        self.min_trees_rounds(std::slice::from_ref(&session_idx), lengths, None)
             .pop()
             .expect("one tree per queried session")
     }
@@ -655,97 +769,15 @@ impl TreeOracle for DynamicOracle {
             if view.epochs.is_some() && self.caching {
                 stats::ORACLE_BYPASSED.add(session_ids.len() as u64);
             }
-            return self.min_trees_batched(session_ids, view.lengths);
+            return self.min_trees_rounds(session_ids, view.lengths, None);
         };
         // Contended (another solver run shares this oracle, e.g. a rayon
         // ratio sweep): compute lock-free instead of serializing on the
         // cache — the pre-engine baseline cost, never worse.
-        let Ok(mut guard) = self.state.try_lock() else {
-            return self.min_trees_batched(session_ids, view.lengths);
+        let Ok(mut st) = self.state.try_lock() else {
+            return self.min_trees_rounds(session_ids, view.lengths, None);
         };
-        let st = &mut *guard;
-        // Probe phase: per session in query order, per member in member
-        // order — the exact hit/miss accounting of a sequential
-        // `min_tree_view` loop. A repeated session id hits on its second
-        // occurrence (the first occurrence's recompute restamps the entry
-        // at the current epoch, and nothing can be touched mid-batch).
-        let mut scheduled = std::collections::HashSet::new();
-        let mut stale: Vec<(usize, usize)> = Vec::new();
-        for &s in session_ids {
-            for a in 0..self.sessions.session(s).members.len() {
-                let valid = st.fans[s][a].as_ref().is_some_and(|c| {
-                    c.run_id == epochs.run_id() && epochs.none_touched_since(&c.fan_edges, c.epoch)
-                }) || scheduled.contains(&(s, a));
-                if valid {
-                    self.hits.inc();
-                    self.bypass.on_hit();
-                } else {
-                    self.misses.inc();
-                    self.bypass.on_miss();
-                    scheduled.insert((s, a));
-                    stale.push((s, a));
-                }
-            }
-        }
-        // Recompute phase: all stale members — possibly spanning several
-        // sessions — in shared batch lanes, each lane early-exiting on its
-        // own session's member set.
-        if !stale.is_empty() {
-            let jobs: Vec<(NodeId, &[NodeId])> = stale
-                .iter()
-                .map(|&(s, a)| {
-                    let members = &self.sessions.session(s).members;
-                    (members[a], &members[..])
-                })
-                .collect();
-            let engines = run_fan_chunks_with(
-                &self.g,
-                &jobs,
-                view.lengths,
-                &self.pool,
-                self.queue,
-                self.pool.parallelism(),
-            );
-            let width = fan_width(self.g.node_count());
-            for (idx, &(s, a)) in stale.iter().enumerate() {
-                let batch = &engines[idx / width];
-                let lane = idx % width;
-                let members = &self.sessions.session(s).members;
-                let fan = st.fans[s][a].get_or_insert_with(FanCache::default);
-                fan.dists.clear();
-                fan.paths.clear();
-                fan.fan_edges.clear();
-                for &t in members {
-                    fan.dists.push(batch.dist(lane, t));
-                    let reached = batch.path_edges_into(lane, t, &mut fan.fan_edges);
-                    assert!(reached, "connected graph: member must be reachable");
-                    fan.paths.push(batch.path_to(lane, t).expect("reached above"));
-                }
-                fan.fan_edges.sort_unstable();
-                fan.fan_edges.dedup();
-                fan.run_id = epochs.run_id();
-                fan.epoch = epochs.current();
-            }
-            for batch in engines {
-                self.pool.give_back_batch(batch);
-            }
-        }
-        // Assembly phase: Prim per queried session over the (now all
-        // valid) cached fans.
-        session_ids
-            .iter()
-            .map(|&s| {
-                let m = self.sessions.session(s).members.len();
-                let fans = &st.fans[s];
-                let fan = |a: usize| fans[a].as_ref().expect("filled above");
-                let edges = prim_dense(m, |a, b| fan(a).dists[b]);
-                let hops = edges
-                    .into_iter()
-                    .map(|(a, b)| OverlayHop { a, b, path: fan(a).paths[b].clone() })
-                    .collect();
-                OverlayTree { session: s, hops }
-            })
-            .collect()
+        self.min_trees_rounds(session_ids, view.lengths, Some((&mut st, epochs)))
     }
 
     fn sessions(&self) -> &SessionSet {
@@ -881,8 +913,34 @@ mod tests {
         let t2 = oracle.min_tree_view(0, view);
         assert_eq!(t1, t2);
         let stats = oracle.cache_stats();
-        assert_eq!(stats.misses, 3, "first query: one Dijkstra per member");
-        assert_eq!(stats.hits, 3, "second query: all fans served from cache");
+        assert_eq!(stats.misses, 2, "first query: one Dijkstra per fan Prim reads");
+        assert_eq!(stats.hits, 2, "second query: every fan Prim reads served from cache");
+    }
+
+    #[test]
+    fn cold_query_reads_one_fan_per_member_but_the_last() {
+        // Prim reads a member's fan only once the member is in the tree, and
+        // never the fan of the member it attaches last: a cold query of an
+        // m-member session computes exactly m − 1 fans, on every path.
+        let g = canned::grid(4, 4, 10.0);
+        let lengths = unit_lengths(&g);
+        let epochs = EdgeEpochs::new(g.edge_count());
+        for m in 2..=6 {
+            let members = (0..m).map(|i| NodeId(3 * i as u32)).collect();
+            let sessions = SessionSet::new(vec![Session::new(members, 1.0)]);
+            let cold = CacheStats { hits: 0, misses: m - 1 };
+            let cached = DynamicOracle::new(&g, &sessions);
+            let t = cached.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
+            assert_eq!(cached.cache_stats(), cold, "cached, {m} members");
+            let uncached = DynamicOracle::uncached(&g, &sessions);
+            let tu = uncached.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
+            assert_eq!(uncached.cache_stats(), cold, "uncached, {m} members");
+            let plain = DynamicOracle::new(&g, &sessions);
+            assert_eq!(plain.min_tree(0, &lengths), t);
+            assert_eq!(plain.cache_stats(), cold, "plain, {m} members");
+            assert_eq!(t, tu);
+            assert_eq!(t.hops.len() as u64, m - 1);
+        }
     }
 
     #[test]
@@ -940,7 +998,7 @@ mod tests {
         let reference = DynamicOracle::uncached(&g, &sessions);
         let mut lengths = unit_lengths(&g);
         let mut epochs = EdgeEpochs::new(g.edge_count());
-        for step in 0..200 {
+        for step in 0..300 {
             let view = LengthView::with_epochs(&lengths, &epochs);
             let t = oracle.min_tree_view(0, view);
             let fresh = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
@@ -952,7 +1010,7 @@ mod tests {
                 epochs.touch(e.0.idx());
             }
         }
-        // 200 queries × 2 members = 400 misses > threshold, zero hits.
+        // 300 queries × 1 fan Prim reads = 300 misses > threshold, zero hits.
         assert!(oracle.cache_bypassed(), "hitless streak must trip the bypass");
         assert_eq!(oracle.cache_stats().hits, 0);
         // Bypassed queries still count as misses on the plain path.
@@ -988,17 +1046,16 @@ mod tests {
 
     #[test]
     fn auto_bypass_threshold_scales_with_instance_size() {
-        // 100 sessions × 3 members = 300 fans > 256: the cold first query
-        // round alone must NOT trip the gauge — hits only become possible
-        // from the second round, and they must still disarm it.
+        // 100 sessions × 4 members = 400 fans, a threshold of 800: the cold
+        // first query round (3 fans read per session, 300 misses, above the
+        // 256 base) alone must NOT trip the gauge — hits only become
+        // possible from the second round, and they must still disarm it.
         let g = canned::grid(6, 6, 10.0);
         let sessions = SessionSet::new(
             (0..100)
                 .map(|i| {
-                    Session::new(
-                        vec![NodeId(i % 36), NodeId((i + 7) % 36), NodeId((i + 19) % 36)],
-                        1.0,
-                    )
+                    let members = [0, 7, 19, 28].map(|k| NodeId((i + k) % 36));
+                    Session::new(members.to_vec(), 1.0)
                 })
                 .collect(),
         );
@@ -1008,7 +1065,9 @@ mod tests {
         for i in 0..sessions.len() {
             let _ = oracle.min_tree_view(i, LengthView::with_epochs(&lengths, &epochs));
         }
-        assert_eq!(oracle.cache_stats().misses, 300, "cold round misses every fan");
+        let misses = oracle.cache_stats().misses;
+        assert_eq!(misses, 300, "cold round misses every fan Prim reads");
+        assert!(misses > super::CACHE_BYPASS_MISSES, "the cold round must outrun the base");
         assert!(
             !oracle.cache_bypassed(),
             "the unavoidable cold round must not trip the bypass on a large instance"
@@ -1137,8 +1196,10 @@ mod tests {
         let oracle = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
         let t = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         t.validate(sessions.session(0), &g);
-        // One engine per fan-width chunk of the 3-member fan.
-        let engines = 3usize.div_ceil(omcf_routing::fan_width(g.node_count()));
+        // One engine per fan-width chunk of one round's jobs: a single
+        // session reads one fan per round, and each round hands its engines
+        // back before the next leases them again.
+        let engines = 1usize.div_ceil(omcf_routing::fan_width(g.node_count()));
         assert_eq!(
             pool.idle_batches(),
             engines,
@@ -1161,7 +1222,7 @@ mod tests {
         // Two oracles over the same instance: one queried through the
         // batched entry point, one through per-session calls. Trees and
         // hit/miss accounting must be identical, across a cold round, a
-        // warm round, and a partially-invalidated round.
+        // warm round, and two partially-invalidated rounds.
         let g = canned::grid(4, 4, 10.0);
         let sessions = SessionSet::new(vec![
             Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0),
@@ -1173,13 +1234,16 @@ mod tests {
         let ids = [0usize, 1, 2];
         let mut lengths = unit_lengths(&g);
         let mut epochs = EdgeEpochs::new(g.edge_count());
-        for round in 0..3 {
+        for round in 0..4 {
             let view = LengthView::with_epochs(&lengths, &epochs);
             let trees = batched.min_trees_view(&ids, view);
             let refs: Vec<OverlayTree> =
                 ids.iter().map(|&i| sequential.min_tree_view(i, view)).collect();
             assert_eq!(trees, refs, "round {round}");
             assert_eq!(batched.cache_stats(), sequential.cache_stats(), "round {round}");
+            if round == 0 {
+                continue;
+            }
             // Invalidate session 0's tree edges for the next round.
             epochs.advance();
             for e in trees[0].edge_multiplicities() {

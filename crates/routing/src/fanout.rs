@@ -161,17 +161,24 @@ pub fn fanout_trees_batched_with(
 /// engine `i / fan_width(n)`, lane `i % fan_width(n)`, in order;
 /// callers must index with the same function. The engine runs are
 /// split across `parallelism`'s workers in
-/// [`LANE_CHUNK`](crate::LANE_CHUNK)-job slices. This is the oracle
-/// fan-recompute shape: each session member fans to its own session's
-/// member set, possibly mixing sessions in one run. Settled distances,
-/// parents and paths are identical to per-source full runs at any
-/// width. Callers read the lanes they need and hand each engine back
-/// via [`WorkspacePool::give_back_batch`].
+/// [`LANE_CHUNK`](crate::LANE_CHUNK)-job slices. This is the shape of
+/// one round of the dynamic oracle's Prim: each job is one member's fan
+/// to its session's members, possibly mixing sessions in one run.
+/// `arcs` is `lengths` gathered into arc order
+/// ([`CsrGraph::fill_arc_lengths`]); workers share it by reference, and
+/// a caller that runs several rounds under one length assignment
+/// gathers it once for all of them. Settled distances, parents and
+/// paths are identical to per-source full runs at any width. Callers
+/// read the lanes they need and hand each engine back via
+/// [`WorkspacePool::give_back_batch`].
+///
+/// [`CsrGraph::fill_arc_lengths`]: omcf_topology::CsrGraph::fill_arc_lengths
 #[must_use]
 pub fn run_fan_chunks_with(
     g: &Graph,
     jobs: &[(NodeId, &[NodeId])],
     lengths: &[f64],
+    arcs: &[f64],
     pool: &WorkspacePool,
     kind: QueueKind,
     parallelism: Parallelism,
@@ -186,15 +193,6 @@ pub fn run_fan_chunks_with(
     // equals the serial `jobs.chunks(width)` order only when slice
     // boundaries fall on width boundaries.
     debug_assert_eq!(crate::batch::LANE_CHUNK % width, 0, "parallel split must align with width");
-    // One arc-order gather of the live lengths serves every engine run
-    // of the fan; workers share it by reference. Same weight values per
-    // arc, so all settled state stays bit-identical to the per-edge
-    // lookup path.
-    let mut mirror = pool.lease_mirror();
-    g.csr().fill_arc_lengths(lengths, &mut mirror);
-    stats::ROUTING_MIRROR_GATHERS.inc();
-    stats::ROUTING_MIRROR_ARCS.add(mirror.len() as u64);
-    let mirror = mirror;
     let run_chunk = |chunk: &[(NodeId, &[NodeId])]| -> crate::batch::BatchDijkstra {
         let mut batch = pool.lease_batch(g.node_count(), kind);
         // Gather on the stack: chunks never exceed LANE_CHUNK lanes.
@@ -208,12 +206,12 @@ pub fn run_fan_chunks_with(
             g,
             &sources[..chunk.len()],
             lengths,
-            &mirror,
+            arcs,
             &targets[..chunk.len()],
         );
         batch
     };
-    let engines = if parallelism.is_serial() || jobs.len() <= crate::batch::LANE_CHUNK {
+    if parallelism.is_serial() || jobs.len() <= crate::batch::LANE_CHUNK {
         jobs.chunks(width).map(run_chunk).collect()
     } else {
         let per_task: Vec<Vec<crate::batch::BatchDijkstra>> = parallelism.install(|| {
@@ -222,9 +220,7 @@ pub fn run_fan_chunks_with(
                 .collect()
         });
         per_task.into_iter().flatten().collect()
-    };
-    pool.give_back_mirror(mirror);
-    engines
+    }
 }
 
 /// The serial twin of [`fanout_trees`]: one worker, same workspaces,

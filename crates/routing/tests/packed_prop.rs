@@ -138,9 +138,11 @@ proptest! {
         let jobs: Vec<(NodeId, &[NodeId])> =
             jobs_owned.iter().map(|(s, t)| (*s, t.as_slice())).collect();
         let pool = WorkspacePool::new();
+        let mut arcs = Vec::new();
+        g.csr().fill_arc_lengths(&lengths, &mut arcs);
         for kind in QueueKind::ALL {
             for policy in [Parallelism::Serial, threads(4)] {
-                let engines = run_fan_chunks_with(&g, &jobs, &lengths, &pool, kind, policy);
+                let engines = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, kind, policy);
                 for (i, (src, tgts)) in jobs_owned.iter().enumerate() {
                     let engine = &engines[i / width];
                     let lane = i % width;

@@ -47,9 +47,9 @@ pub static ENGINE_DUAL_BOUND_SUMS: Counter = Counter::new("engine.dual.bound_sum
 // probes serially, so there the totals happen to be reproducible, but the
 // class records the universal guarantee, not the best case.)
 
-/// Dynamic-oracle member Dijkstras answered from the epoch cache.
+/// Dynamic-oracle member fans Prim read that the epoch cache served.
 pub static ORACLE_DYNAMIC_HITS: Counter = Counter::new("oracle.dynamic.cache.hits", Class::Wall);
-/// Dynamic-oracle member Dijkstras actually recomputed.
+/// Dynamic-oracle member fans Prim read that were computed.
 pub static ORACLE_DYNAMIC_MISSES: Counter =
     Counter::new("oracle.dynamic.cache.misses", Class::Wall);
 /// Fixed-IP-oracle session trees answered from the epoch cache.

@@ -1,22 +1,18 @@
 //! Routing-core bench: CSR struct-of-arrays Dijkstra vs the frozen
-//! adjacency-list reference, across priority-queue disciplines and the
-//! parallel member fan-out, on the large-scale (≥2k-node) registry
-//! substrates. Emits `BENCH_routing.json` at the workspace root — the
-//! measured CSR-vs-adjacency speedup the PR-5 refactor is gated on — and
-//! asserts every implementation agrees bit-for-bit before timing it.
+//! adjacency-list reference, and the fan driver serial vs parallel, on
+//! the large-scale (≥2k-node) registry substrates. Emits
+//! `BENCH_routing.json` at the workspace root — the measured
+//! CSR-vs-adjacency speedup the CSR refactor is gated on — and asserts
+//! every implementation agrees bit-for-bit before timing it.
 //!
 //! Lengths mimic a mid-solve FPTAS state: each edge starts at `1/c_e`
 //! and carries a random number of multiplicative `(1+ε)` growth steps,
-//! so distances are non-uniform and the Dial queue sees realistic
-//! bucket spreads.
+//! so distances are non-uniform.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use omcf_numerics::{jsonfmt, Rng64, Xoshiro256pp};
+use omcf_numerics::{jsonfmt, Parallelism, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    dijkstra_with, fanout_trees, fanout_trees_batched, fanout_trees_serial, DijkstraWorkspace,
-    QueueKind, WorkspacePool,
-};
+use omcf_routing::{dijkstra, run_fan_chunks_with, DijkstraWorkspace, WorkspacePool};
 use omcf_sim::registry;
 use omcf_sim::Scale;
 use omcf_topology::{Graph, NodeId};
@@ -82,14 +78,39 @@ fn run_adjacency(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
 }
 
 /// Full SSSP from every source through one reused CSR workspace.
-fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64], kind: QueueKind) -> f64 {
-    let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
+fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
+    let mut ws = DijkstraWorkspace::new(g.node_count());
     let mut acc = 0.0;
     for &src in sources {
         ws.run(g, src, lengths);
         acc += ws.dist(sources[0]);
     }
     acc
+}
+
+/// One fan round through the fan driver, every node a target of every
+/// job (whole trees), as the dynamic oracle runs it: one arc-order
+/// gather of the lengths, then one early-exit run per job under
+/// `policy`. Passes the per-job workspaces to `check`, hands them and
+/// the mirror back to `pool`, and returns the number of runs.
+fn run_fan(
+    g: &Graph,
+    jobs: &[(NodeId, &[NodeId])],
+    lengths: &[f64],
+    pool: &WorkspacePool,
+    policy: Parallelism,
+    check: impl Fn(&[DijkstraWorkspace]),
+) -> f64 {
+    let mut arcs = pool.lease_mirror();
+    g.csr().fill_arc_lengths(lengths, &mut arcs);
+    let runs = run_fan_chunks_with(g, jobs, lengths, &arcs, pool, policy);
+    check(&runs);
+    let n = runs.len();
+    for ws in runs {
+        pool.give_back(ws);
+    }
+    pool.give_back_mirror(arcs);
+    n as f64
 }
 
 /// A labelled measurement routine.
@@ -137,11 +158,7 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
     grp.bench_function("adjacency_reference", |b| {
         b.iter(|| black_box(run_adjacency(&g, &sources, &lengths)))
     });
-    for kind in QueueKind::ALL {
-        grp.bench_function(format!("csr_{}", kind.name()), |b| {
-            b.iter(|| black_box(run_csr(&g, &sources, &lengths, kind)))
-        });
-    }
+    grp.bench_function("csr_binary", |b| b.iter(|| black_box(run_csr(&g, &sources, &lengths))));
     grp.finish();
 }
 
@@ -150,68 +167,50 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
 /// (sorted keys via `jsonfmt`).
 fn emit_bench_json(_c: &mut Criterion) {
     let mut fixture_objs: Vec<(String, String)> = Vec::new();
-    // Aggregate guard (summed across fixtures): the process-default queue
-    // kind must not be measurably the worst choice — a losing discipline
-    // can't silently stay the default. 1.3x + 5 ms absorbs timer noise on
-    // shared runners while still tripping on a real regression like the
-    // uncalibrated Dial queue this bench originally exposed.
-    let mut default_total_ms = 0.0;
-    let mut best_total_ms = 0.0;
     for (name, g) in fixtures() {
         let mut rng = Xoshiro256pp::new(SEED ^ 0xC5);
         let lengths = solver_lengths(&g, &mut rng);
         let sources = scattered_sources(&g, &mut rng);
-
-        // Bit-exactness gate before any timing: every queue kind and the
-        // fan-out must reproduce the adjacency reference exactly.
-        for &src in &sources {
-            let reference = dijkstra_adjacency(&g, src, &lengths);
-            for kind in QueueKind::ALL {
-                let tree = dijkstra_with(&g, src, &lengths, kind);
-                for v in g.nodes() {
-                    assert_eq!(
-                        tree.dist(v).to_bits(),
-                        reference.dist(v).to_bits(),
-                        "{name}: {kind:?} diverged from the adjacency reference"
-                    );
-                }
-            }
-        }
+        let all: Vec<NodeId> = g.nodes().collect();
+        let jobs: Vec<(NodeId, &[NodeId])> = sources.iter().map(|&s| (s, &all[..])).collect();
         let pool = WorkspacePool::new();
-        let fanout = fanout_trees(&g, &sources, &lengths, &pool, QueueKind::Binary);
-        for (i, &src) in sources.iter().enumerate() {
-            let reference = dijkstra_adjacency(&g, src, &lengths);
+
+        // Bit-exactness gate before any timing: the workspace and the
+        // fan driver, serial and parallel, must reproduce the adjacency
+        // reference exactly.
+        let references: Vec<_> =
+            sources.iter().map(|&src| dijkstra_adjacency(&g, src, &lengths)).collect();
+        for (src, reference) in sources.iter().zip(&references) {
+            let tree = dijkstra(&g, *src, &lengths);
             for v in g.nodes() {
-                assert_eq!(fanout[i].dist(v).to_bits(), reference.dist(v).to_bits(), "{name}");
+                assert_eq!(
+                    tree.dist(v).to_bits(),
+                    reference.dist(v).to_bits(),
+                    "{name}: the CSR workspace diverged from the adjacency reference"
+                );
             }
         }
-        let batched = fanout_trees_batched(&g, &sources, &lengths, &pool, QueueKind::Binary);
-        assert_eq!(batched, fanout, "{name}: batched fan-out diverged from per-source");
-
-        let (gr, so, le) = (&g, &sources, &lengths);
-        let mut routines: Vec<Routine<'_>> =
-            vec![("adjacency", Box::new(|| run_adjacency(gr, so, le)))];
-        for kind in QueueKind::ALL {
-            routines.push((kind.name(), Box::new(move || run_csr(gr, so, le, kind))));
+        for policy in [Parallelism::Serial, pool.parallelism()] {
+            run_fan(&g, &jobs, &lengths, &pool, policy, |runs| {
+                for (ws, reference) in runs.iter().zip(&references) {
+                    for v in g.nodes() {
+                        assert_eq!(
+                            ws.dist(v).to_bits(),
+                            reference.dist(v).to_bits(),
+                            "{name}: {policy:?} fan diverged from the adjacency reference"
+                        );
+                    }
+                }
+            });
         }
-        routines.push((
-            "fanout_serial",
-            Box::new(|| {
-                fanout_trees_serial(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
-        routines.push((
-            "fanout",
-            Box::new(|| {
-                fanout_trees(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
-        routines.push((
-            "fanout_batched",
-            Box::new(|| {
-                fanout_trees_batched(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
+
+        let (gr, so, le, jo, po) = (&g, &sources, &lengths, &jobs, &pool);
+        let mut routines: Vec<Routine<'_>> = vec![
+            ("adjacency", Box::new(|| run_adjacency(gr, so, le))),
+            ("binary", Box::new(|| run_csr(gr, so, le))),
+            ("fanout_serial", Box::new(|| run_fan(gr, jo, le, po, Parallelism::Serial, |_| {}))),
+            ("fanout", Box::new(|| run_fan(gr, jo, le, po, po.parallelism(), |_| {}))),
+        ];
         let medians = measure_all(&mut routines);
         let med = |label: &str| {
             medians[routines.iter().position(|(l, _)| *l == label).expect("labelled routine")]
@@ -220,28 +219,17 @@ fn emit_bench_json(_c: &mut Criterion) {
         let csr_binary_ms = med("binary");
         let fanout_serial_ms = med("fanout_serial");
         let fanout_ms = med("fanout");
-        let batch_fanout_ms = med("fanout_batched");
-        default_total_ms += med(QueueKind::default_kind().name());
-        best_total_ms += QueueKind::ALL.iter().map(|k| med(k.name())).fold(f64::INFINITY, f64::min);
-        let mut obj = jsonfmt::JsonObject::new()
+        let obj = jsonfmt::JsonObject::new()
             .field("nodes", g.node_count().to_string())
             .field("edges", g.edge_count().to_string())
             .field("sources", sources.len().to_string())
             .field("adjacency_ms", jsonfmt::fixed(adjacency_ms, 3))
-            .field("bit_identical", "true");
-        for (i, kind) in QueueKind::ALL.iter().enumerate() {
-            obj = obj.field(
-                format!("csr_{}_ms", kind.name()).as_str(),
-                jsonfmt::fixed(medians[1 + i], 3),
-            );
-        }
-        obj = obj
-            .field("batch_fanout_ms", jsonfmt::fixed(batch_fanout_ms, 3))
+            .field("bit_identical", "true")
+            .field("csr_binary_ms", jsonfmt::fixed(csr_binary_ms, 3))
             // `_speedup` keys are gated *leniently* by scripts/bench_check:
             // they only fail the build when the new path is slower than the
             // baseline beyond the noise floor, so single-core runners can't
-            // flake. `batch_speedup` is lane-batched vs per-source serial.
-            .field("batch_speedup", jsonfmt::fixed(fanout_serial_ms / batch_fanout_ms, 3))
+            // flake.
             .field("fanout_parallel_ms", jsonfmt::fixed(fanout_ms, 3))
             .field("fanout_serial_ms", jsonfmt::fixed(fanout_serial_ms, 3))
             .field("fanout_speedup", jsonfmt::fixed(fanout_serial_ms / fanout_ms, 3))
@@ -249,20 +237,12 @@ fn emit_bench_json(_c: &mut Criterion) {
         println!(
             "bench routing_csr: {name} adjacency {adjacency_ms:.1} ms vs csr(binary) \
              {csr_binary_ms:.1} ms ({:.2}x), fanout {fanout_ms:.1} ms \
-             (serial {fanout_serial_ms:.1} ms, {:.2}x), batched {batch_fanout_ms:.1} ms \
-             ({:.2}x vs serial)",
+             (serial {fanout_serial_ms:.1} ms, {:.2}x)",
             adjacency_ms / csr_binary_ms,
             fanout_serial_ms / fanout_ms,
-            fanout_serial_ms / batch_fanout_ms
         );
         fixture_objs.push((name.to_string(), obj.pretty(1)));
     }
-    assert!(
-        default_total_ms <= best_total_ms * 1.3 + 5.0,
-        "default queue kind {:?} is measurably the worst: {default_total_ms:.1} ms total vs \
-         best-kind total {best_total_ms:.1} ms — recalibrate or change the default",
-        QueueKind::default_kind()
-    );
 
     let mut top = jsonfmt::JsonObject::new()
         .text("bench", "routing_csr")

@@ -18,9 +18,7 @@
 //! one oracle.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use omcf_core::{
-    max_concurrent_flow_maxmin, max_flow, ApproxParams, AugmentMode, MaxFlowOutcome, McfOutcome,
-};
+use omcf_core::{max_concurrent_flow_maxmin, max_flow, ApproxParams, MaxFlowOutcome, McfOutcome};
 use omcf_numerics::{jsonfmt, Xoshiro256pp};
 use omcf_overlay::SessionSet;
 use omcf_overlay::{random_sessions, CacheStats, DynamicOracle, FixedIpOracle, TreeOracle};
@@ -206,34 +204,6 @@ fn m2_ab_json(g: &Graph, sessions: &SessionSet, ratio: f64, runs: usize) -> Stri
     )
 }
 
-/// Per-edge vs batched augment application on the uncached multi-session
-/// point, as a rendered JSON object. The process default is flipped per
-/// leg (engines read it at construction), and the two legs' outcomes are
-/// asserted bit-identical first — the augment mode is a pure
-/// when-to-write choice, never a what.
-fn augment_ab_json(g: &Graph, sessions: &SessionSet, ratio: f64, runs: usize) -> String {
-    let oracle = DynamicOracle::uncached(g, sessions);
-    AugmentMode::set_process_default(AugmentMode::PerEdge);
-    let reference = run_m1(g, &oracle, ratio);
-    AugmentMode::set_process_default(AugmentMode::Batched);
-    let batched_out = run_m1(g, &oracle, ratio);
-    assert_eq!(reference.mst_ops, batched_out.mst_ops, "augment mode must not change the schedule");
-    for (a, b) in reference.summary.session_rates.iter().zip(&batched_out.summary.session_rates) {
-        assert_eq!(a.to_bits(), b.to_bits(), "augment mode must be bit-invisible");
-    }
-    let solve = || run_m1(g, &oracle, ratio);
-    AugmentMode::set_process_default(AugmentMode::PerEdge);
-    let (p_ms, p_ops, _) = measure(runs, || oracle.cache_stats(), solve, m1_ops);
-    AugmentMode::set_process_default(AugmentMode::Batched);
-    let (b_ms, b_ops, _) = measure(runs, || oracle.cache_stats(), solve, m1_ops);
-    assert_eq!(p_ops, b_ops, "augment mode must not change the oracle call count");
-    jsonfmt::JsonObject::new()
-        .field("per_edge_wall_ms_median", jsonfmt::fixed(p_ms, 3))
-        .field("batched_wall_ms_median", jsonfmt::fixed(b_ms, 3))
-        .field("augment_speedup", jsonfmt::fixed(p_ms / b_ms, 3))
-        .inline()
-}
-
 /// Telemetry-collection overhead on the cached multi-session point —
 /// the off-leg is the shipped default (one relaxed atomic load per
 /// site); the on-leg collects every engine/oracle/routing counter. The
@@ -296,7 +266,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         || run_m1(&gm, &mu, MULTI_RATIO),
         || mu.cache_stats(),
     );
-    let multi_augment = augment_ab_json(&gm, &sm, MULTI_RATIO, runs);
     let multi_telemetry = telemetry_ab_json(&gm, &sm, MULTI_RATIO, runs);
     let (gp, sp) = session_pairs();
     let pairs_m2 = m2_ab_json(&gp, &sp, M2_RATIO, runs);
@@ -312,7 +281,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         .field("scenario_a_fast_dynamic", scen_dyn)
         .field("scenario_a_fast_fixed", scen_fix)
         .field("multi_session_dynamic", multi_dyn)
-        .field("multi_session_augment", multi_augment)
         .field("multi_session_telemetry", multi_telemetry)
         .field("session_pairs_m2", pairs_m2)
         .pretty(0);

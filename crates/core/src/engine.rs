@@ -90,84 +90,6 @@ pub fn replay_edge(base: f64, rho: f64, adds: impl Iterator<Item = f64>) -> (f64
     (load, length)
 }
 
-/// When the engine *applies* the length growth an augmentation computes.
-///
-/// Either way the grown values are **bit-identical**: the growth factor
-/// of every edge is computed at augmentation time from the lengths the
-/// per-edge path would have seen (a tree's multiplicities list each edge
-/// once, so the factors of one augmentation never compound), and batched
-/// application multiplies each edge by exactly the factors the per-edge
-/// path would have, in the same order. Only *when* the stores are
-/// written changes — and every read goes through a flushing accessor, so
-/// no caller can observe a stale length (see `docs/ENGINE.md`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AugmentMode {
-    /// Accumulate each augmentation's `(edge, factor)` pairs and apply
-    /// the whole phase in one pass at the next length read — a dense
-    /// index-order sweep when the batch covers enough of the edge array
-    /// ([`ScaledLengths::scale_edges`]). The `advance_pending` latch
-    /// guarantees no oracle reads lengths mid-batch, which is what makes
-    /// the deferral safe.
-    Batched,
-    /// Apply each augmentation's factors immediately (the historical
-    /// point-update path).
-    PerEdge,
-}
-
-/// Process-wide default augment mode: 0 = batched, 1 = per-edge.
-/// A plain atomic (not first-set-wins like the queue-kind default) so a
-/// bench can A/B both modes in one process.
-static DEFAULT_AUGMENT_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-impl AugmentMode {
-    /// Every mode, in vocabulary order.
-    pub const ALL: [AugmentMode; 2] = [AugmentMode::Batched, AugmentMode::PerEdge];
-
-    /// Human-readable list of valid names for error messages.
-    pub const VOCABULARY: &'static str = "`batched`, `per-edge`";
-
-    /// Canonical CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AugmentMode::Batched => "batched",
-            AugmentMode::PerEdge => "per-edge",
-        }
-    }
-
-    /// Parses a CLI name ([`Self::VOCABULARY`]).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "batched" => Some(AugmentMode::Batched),
-            "per-edge" => Some(AugmentMode::PerEdge),
-            _ => None,
-        }
-    }
-
-    /// Sets the process-wide default mode new engines start in.
-    /// Unlike the queue-kind default this is re-settable: results are
-    /// bit-identical across modes, so flipping it mid-process can never
-    /// invalidate existing state — it only redirects future engines.
-    pub fn set_process_default(mode: AugmentMode) {
-        DEFAULT_AUGMENT_MODE.store(
-            matches!(mode, AugmentMode::PerEdge) as u8,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
-
-    /// The current process-wide default ([`AugmentMode::Batched`] unless
-    /// overridden).
-    #[must_use]
-    pub fn process_default() -> AugmentMode {
-        if DEFAULT_AUGMENT_MODE.load(std::sync::atomic::Ordering::Relaxed) == 0 {
-            AugmentMode::Batched
-        } else {
-            AugmentMode::PerEdge
-        }
-    }
-}
-
 /// How an augmentation grows the lengths of the edges it crosses.
 #[derive(Clone, Copy, Debug)]
 pub enum LengthGrowth {
@@ -202,10 +124,10 @@ const DUAL_MAX_EDGES: usize = 1 << 26;
 
 /// The running dual objective `D̂ ≈ Σ c_e·d_e` of one engine run, kept
 /// next to an absolute bound `err ≥ |D̂ − D|` on its distance from the
-/// exact sum `D` of the current stored lengths. Every length write adds
-/// `c_e·(d_new − d_old)` to `D̂`, so [`Engine::dual_reached_one`] can
-/// answer "not yet" without reading the edge array whenever
-/// `D̂ + err` is provably below the threshold.
+/// exact sum `D` of the current stored lengths. Every length write (one
+/// hook, in [`Engine::augment`]) adds `c_e·(d_new − d_old)` to `D̂`, so
+/// [`Engine::dual_reached_one`] can answer "not yet" without reading the
+/// edge array whenever `D̂ + err` is provably below the threshold.
 #[derive(Clone, Copy, Debug)]
 struct RunningDual {
     sum: f64,
@@ -375,15 +297,6 @@ pub struct Engine<'a, O: TreeOracle + ?Sized> {
     /// later touch stamped `> E` — and schedules that query between every
     /// augmentation (M1/M2/online today) advance exactly as before.
     advance_pending: bool,
-    /// When the length store is written (never *what*): see [`AugmentMode`].
-    mode: AugmentMode,
-    /// [`AugmentMode::Batched`] accumulator: `(edge, factor)` pairs in
-    /// augmentation event order, applied by [`Self::flush_pending`] at
-    /// the next length read. Factors are computed at augmentation time,
-    /// so deferral never changes a value.
-    pending: Vec<(u32, f64)>,
-    /// Dense-sweep scratch for [`ScaledLengths::scale_edges`].
-    slab: Vec<f64>,
     /// The run's running dual objective, started by the first
     /// [`Self::dual_reached_one`] and kept current by every length write
     /// after it. It lives here, not on [`EngineState`]: a state resumed
@@ -419,81 +332,15 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
             growth,
             caps: std::cell::OnceCell::new(),
             advance_pending: true,
-            mode: AugmentMode::process_default(),
-            pending: Vec::new(),
-            slab: Vec::new(),
             dual: None,
             state,
         }
     }
 
-    /// Overrides the [`AugmentMode`] for this engine (builder-style).
-    /// Any accumulated batch is applied first, so switching modes
-    /// mid-run is safe (results are mode-independent regardless).
-    #[must_use]
-    pub fn with_augment_mode(mut self, mode: AugmentMode) -> Self {
-        self.flush_pending();
-        self.mode = mode;
-        self
-    }
-
-    /// The engine's current [`AugmentMode`].
-    #[must_use]
-    pub fn augment_mode(&self) -> AugmentMode {
-        self.mode
-    }
-
-    /// Applies the accumulated batch of length updates — the write half
-    /// of every read barrier. One augmentation's factors are sorted by
-    /// edge id with each edge once (tree multiplicities), so a
-    /// single-augment batch — and any multi-augment batch over disjoint
-    /// trees — takes the sweep path; a batch that grew the same edge
-    /// twice replays pointwise in event order, preserving the exact
-    /// float-op sequence of the per-edge mode.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        stats::ENGINE_FLUSHES.inc();
-        stats::ENGINE_FLUSH_EDGES.add(self.pending.len() as u64);
-        if self.pending.windows(2).all(|w| w[0].0 < w[1].0) {
-            stats::ENGINE_FLUSH_SWEEPS.inc();
-            if let Some(dual) = &mut self.dual {
-                // Each edge once: `old * f` is exactly what the sweep writes.
-                for &(e, f) in &self.pending {
-                    let old = self.state.lengths.stored()[e as usize];
-                    dual.add_write(self.g.capacity(EdgeId(e)), old, old * f);
-                }
-            }
-            self.state.lengths.scale_edges(&self.pending, &mut self.slab);
-        } else {
-            for &(e, f) in &self.pending {
-                let old = self.state.lengths.stored()[e as usize];
-                self.state.lengths.scale_edge(e as usize, f);
-                if let Some(dual) = &mut self.dual {
-                    let new = self.state.lengths.stored()[e as usize];
-                    dual.add_write(self.g.capacity(EdgeId(e)), old, new);
-                }
-            }
-        }
-        if matches!(self.growth, LengthGrowth::Online { .. }) {
-            // The per-edge mode asserts finiteness at every step; here
-            // the whole batch lands at once, so scan it on apply.
-            for &(e, _) in &self.pending {
-                assert!(
-                    self.state.lengths.stored()[e as usize].is_finite(),
-                    "online length overflow; lower rho"
-                );
-            }
-        }
-        self.pending.clear();
-    }
-
     /// Detaches the persistent state for the next [`Self::resume`] — the
     /// counterpart warm-start hook to [`Self::resume`].
     #[must_use]
-    pub fn suspend(mut self) -> EngineState {
-        self.flush_pending();
+    pub fn suspend(self) -> EngineState {
         self.state
     }
 
@@ -507,7 +354,6 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     /// The minimum overlay spanning tree of session `i` under the current
     /// lengths, via the epoch-aware oracle path. Counts one `mst_op`.
     pub fn min_tree(&mut self, i: usize) -> OverlayTree {
-        self.flush_pending();
         self.state.mst_ops += 1;
         stats::ENGINE_ORACLE_CALLS.inc();
         self.advance_pending = true;
@@ -520,11 +366,10 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     /// One oracle sweep: the minimum trees of `session_ids`, in order, all
     /// under the current lengths, issued as a single batched
     /// [`TreeOracle::min_trees_view`] query so the oracle can recompute
-    /// stale member fans across sessions in shared Dijkstra lanes. Counts
+    /// stale member fans across sessions in shared fan rounds. Counts
     /// one `mst_op` per session; results and cache accounting are
     /// identical to calling [`Self::min_tree`] per id.
     pub fn min_trees(&mut self, session_ids: &[usize]) -> Vec<OverlayTree> {
-        self.flush_pending();
         self.state.mst_ops += session_ids.len() as u64;
         stats::ENGINE_ORACLE_CALLS.add(session_ids.len() as u64);
         self.advance_pending = true;
@@ -573,13 +418,8 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         let mults = tree.edge_multiplicities();
         stats::ENGINE_AUGMENT_EDGES.add(mults.len() as u64);
         self.state.store.add(tree, amount);
-        let batched = matches!(self.mode, AugmentMode::Batched);
         for &(e, n) in &mults {
             let cap = self.g.capacity(e);
-            // The factor is computed *now*, from state the per-edge path
-            // would see at this exact point (loads update immediately;
-            // lengths never feed back into factors), so deferring the
-            // multiplication cannot change it.
             let factor = match self.growth {
                 LengthGrowth::Fptas { eps } => 1.0 + eps * f64::from(n) * amount / cap,
                 LengthGrowth::Online { rho } => {
@@ -588,24 +428,14 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
                     1.0 + rho * add
                 }
             };
-            if batched {
-                // Touch stamps still land immediately — cache validity
-                // accounting is identical in both modes. Only the store
-                // write waits for the next read barrier (the finiteness
-                // assert moves there with it).
-                self.pending.push((e.0, factor));
-            } else {
-                let old = self.state.lengths.stored()[e.idx()];
-                self.state.lengths.scale_edge(e.idx(), factor);
-                if let Some(dual) = &mut self.dual {
-                    dual.add_write(cap, old, self.state.lengths.stored()[e.idx()]);
-                }
-                if matches!(self.growth, LengthGrowth::Online { .. }) {
-                    assert!(
-                        self.state.lengths.stored()[e.idx()].is_finite(),
-                        "online length overflow; lower rho"
-                    );
-                }
+            let old = self.state.lengths.stored()[e.idx()];
+            self.state.lengths.scale_edge(e.idx(), factor);
+            let new = self.state.lengths.stored()[e.idx()];
+            if let Some(dual) = &mut self.dual {
+                dual.add_write(cap, old, new);
+            }
+            if matches!(self.growth, LengthGrowth::Online { .. }) {
+                assert!(new.is_finite(), "online length overflow; lower rho");
             }
             self.state.epochs.touch(e.idx());
         }
@@ -625,11 +455,9 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     }
 
     /// The dual objective `D = Σ_e c_e·d_e` in stored scale — compare
-    /// against [`Self::stored_one`]. A length read, hence `&mut`: it
-    /// applies any batched updates first.
+    /// against [`Self::stored_one`].
     #[must_use]
-    pub fn dual_objective_stored(&mut self) -> f64 {
-        self.flush_pending();
+    pub fn dual_objective_stored(&self) -> f64 {
         let caps =
             self.caps.get_or_init(|| self.g.edge_ids().map(|e| self.g.capacity(e)).collect());
         self.state.lengths.weighted_sum_stored(caps)
@@ -643,7 +471,6 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     /// the running sum to its value. Lengths only grow, so in a
     /// Garg–Könemann loop only the last few tests pay `O(|E|)`.
     pub fn dual_reached_one(&mut self) -> bool {
-        self.flush_pending();
         stats::ENGINE_DUAL_TESTS.inc();
         let one = self.stored_one();
         if let Some(dual) = self.dual {
@@ -664,10 +491,8 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     }
 
     /// The live stored lengths (for policies computing tree lengths).
-    /// A length read, hence `&mut`: it applies any batched updates first.
     #[must_use]
-    pub fn stored_lengths(&mut self) -> &[f64] {
-        self.flush_pending();
+    pub fn stored_lengths(&self) -> &[f64] {
         self.state.lengths.stored()
     }
 
@@ -685,8 +510,7 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
 
     /// Ends the run, releasing the accumulated state to the policy.
     #[must_use]
-    pub fn finish(mut self) -> EngineRun {
-        self.flush_pending();
+    pub fn finish(self) -> EngineRun {
         EngineRun {
             store: self.state.store,
             lengths: self.state.lengths,

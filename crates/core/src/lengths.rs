@@ -97,50 +97,6 @@ impl ScaledLengths {
         debug_assert!(self.stored[e].is_finite(), "length overflow on edge {e}");
     }
 
-    /// Applies a batch of multiplicative updates `(edge, factor)` — the
-    /// grouped twin of [`Self::scale_edge`]. `updates` must be sorted by
-    /// edge id with each edge at most once; `slab` is caller-owned
-    /// scratch (reused across batches, so warm callers pay no
-    /// allocation).
-    ///
-    /// Dense batches (≥ 1/8 of the edges) are applied as a **sweep**:
-    /// the factors are scattered into a `1.0`-filled dense slab and the
-    /// whole stored array is multiplied in index order — one
-    /// branch-light pass over two contiguous `f64` slabs the compiler
-    /// can vectorize. Each edge still sees exactly one multiplication
-    /// by exactly its own factor, and `x * 1.0` is bit-exact for every
-    /// finite positive `x`, so the result is bit-identical to applying
-    /// [`Self::scale_edge`] per update. Sparse batches skip the O(E)
-    /// pass and apply pointwise.
-    pub fn scale_edges(&mut self, updates: &[(u32, f64)], slab: &mut Vec<f64>) {
-        debug_assert!(
-            updates.windows(2).all(|w| w[0].0 < w[1].0),
-            "batched updates must be sorted by edge id, each edge once"
-        );
-        debug_assert!(
-            updates.iter().all(|&(_, f)| f >= 1.0 && f.is_finite()),
-            "length updates only grow"
-        );
-        if updates.len() * 8 >= self.stored.len() {
-            slab.clear();
-            slab.resize(self.stored.len(), 1.0);
-            for &(e, f) in updates {
-                slab[e as usize] = f;
-            }
-            for (d, &f) in self.stored.iter_mut().zip(slab.iter()) {
-                *d *= f;
-            }
-        } else {
-            for &(e, f) in updates {
-                self.stored[e as usize] *= f;
-            }
-        }
-        debug_assert!(
-            updates.iter().all(|&(e, _)| self.stored[e as usize].is_finite()),
-            "length overflow in batched update"
-        );
-    }
-
     /// Overwrites edge `e`'s stored length — the rollback hook. Unlike
     /// [`Self::scale_edge`] this may *shrink* a length (a departing
     /// session's contribution is replayed out), which voids the
@@ -248,32 +204,6 @@ mod tests {
         assert!((s.ln_true(0) - 0.5f64.ln()).abs() < 1e-15);
         s.scale_edge(1, 3.0);
         assert_eq!(s.stored()[1], 0.75);
-    }
-
-    #[test]
-    fn batched_scaling_matches_pointwise_bit_for_bit() {
-        // Both slab crossover paths (dense sweep and sparse pointwise)
-        // against the scale_edge reference, on awkward factors.
-        let weights = [0.3, 1.7, 0.9, 2.2, 0.11, 5.0, 0.77, 1.01, 3.3, 0.5];
-        let mut point = ScaledLengths::new(&weights, -40.0, 5.0);
-        let mut batch = point.clone();
-        let mut slab = Vec::new();
-        // Dense batch: every edge, distinct factors.
-        let dense: Vec<(u32, f64)> =
-            (0..weights.len()).map(|e| (e as u32, 1.0 + 0.01 * (e as f64 + 1.0) / 3.0)).collect();
-        for &(e, f) in &dense {
-            point.scale_edge(e as usize, f);
-        }
-        batch.scale_edges(&dense, &mut slab);
-        // Sparse batch: one edge of ten stays under the sweep crossover.
-        let sparse = [(7u32, 1.000_000_1f64)];
-        for &(e, f) in &sparse {
-            point.scale_edge(e as usize, f);
-        }
-        batch.scale_edges(&sparse, &mut slab);
-        for (a, b) in point.stored().iter().zip(batch.stored()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

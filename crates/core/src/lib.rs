@@ -39,9 +39,7 @@ pub mod solution;
 pub mod solver;
 
 pub use dynamics::{JoinRouting, LiveId, OnlineSystem};
-pub use engine::{
-    replay_edge, AugmentMode, Contribution, Engine, EngineRun, EngineState, LengthGrowth,
-};
+pub use engine::{replay_edge, Contribution, Engine, EngineRun, EngineState, LengthGrowth};
 pub use lengths::ScaledLengths;
 pub use m1::{max_flow, max_flow_subset, MaxFlowOutcome};
 pub use m1_fleischer::max_flow_fleischer;

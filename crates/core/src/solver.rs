@@ -548,6 +548,6 @@ mod tests {
         let plain = SolverKind::M1.solver().run(&inst);
         assert_eq!(pooled.summary.session_rates, plain.summary.session_rates);
         assert_eq!(pooled.mst_ops, plain.mst_ops);
-        assert!(pool.idle_batches() > 0, "batch fan engines must return to the pool");
+        assert!(pool.idle() > 0, "fan workspaces must return to the pool");
     }
 }

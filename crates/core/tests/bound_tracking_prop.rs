@@ -4,25 +4,20 @@
 //! M2's λ pre-pass and its residual max-min completion run `MaxFlow`
 //! through `max_flow_subset`, which skips `Engine::observe_alpha`, an
 //! `O(|E|)` dual sum per iteration, because M2 reads only the primal
-//! flow. Skipping it may move no flow bit: the sum writes only the bound,
-//! and the flush it triggers is a read barrier whose timing never changes
-//! a length. These tests check that on random instances, and check the
+//! flow. Skipping it may move no flow bit: the sum writes only the bound
+//! and reads the lengths without changing them. These tests check that on random instances, and check the
 //! bound on both sides: `max_flow` tracks a finite bound that is at least
 //! its objective, and `max_flow_subset` reports `f64::INFINITY`, the
 //! engine's "never observed".
 
-use omcf_core::{max_flow, max_flow_subset, ApproxParams, AugmentMode, MaxFlowOutcome};
+use omcf_core::{max_flow, max_flow_subset, ApproxParams, MaxFlowOutcome};
 use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_overlay::{DynamicOracle, FixedIpOracle, Session, SessionSet, TreeOracle};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
-use std::sync::{Mutex, PoisonError};
 
 mod common;
 use common::random_grid;
-
-/// Guards the process-wide augment default: each case sets it per leg.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// 1–3 sessions of 2–4 distinct members each, unit demand.
 fn random_session_set(g: &Graph, rng: &mut Xoshiro256pp) -> SessionSet {
@@ -81,34 +76,28 @@ fn assert_same_flow_without_bound<O: TreeOracle>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random grids and sessions, both oracles, both augment modes, ε
-    /// from 0.05 to 0.9.
+    /// Random grids and sessions, both oracles, ε from 0.05 to 0.9.
     #[test]
     fn subset_over_all_sessions_is_max_flow_without_the_bound(
         seed in any::<u64>(),
         eps in 0.05f64..0.9,
     ) {
-        let _guard = MODE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut rng = Xoshiro256pp::new(seed);
         let g = random_grid(&mut rng);
         let sessions = random_session_set(&g, &mut rng);
         let params = ApproxParams::from_eps(eps);
-        for mode in AugmentMode::ALL {
-            AugmentMode::set_process_default(mode);
-            let label = format!("seed {seed}, ε = {eps}, {mode:?}");
-            assert_same_flow_without_bound(
-                &g,
-                || FixedIpOracle::new(&g, &sessions),
-                params,
-                &format!("{label}, fixed IP"),
-            );
-            assert_same_flow_without_bound(
-                &g,
-                || DynamicOracle::new(&g, &sessions),
-                params,
-                &format!("{label}, dynamic"),
-            );
-        }
-        AugmentMode::set_process_default(AugmentMode::Batched);
+        let label = format!("seed {seed}, ε = {eps}");
+        assert_same_flow_without_bound(
+            &g,
+            || FixedIpOracle::new(&g, &sessions),
+            params,
+            &format!("{label}, fixed IP"),
+        );
+        assert_same_flow_without_bound(
+            &g,
+            || DynamicOracle::new(&g, &sessions),
+            params,
+            &format!("{label}, dynamic"),
+        );
     }
 }

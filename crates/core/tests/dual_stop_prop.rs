@@ -11,7 +11,7 @@
 //! from the running sum alone drifts away from the full sum.
 
 use omcf_core::ratio::ln_delta_m2;
-use omcf_core::{AugmentMode, Engine, LengthGrowth, ScaledLengths};
+use omcf_core::{Engine, LengthGrowth, ScaledLengths};
 use omcf_numerics::{NeumaierSum, Rng64, Xoshiro256pp};
 use omcf_overlay::{
     random_sessions, DynamicOracle, FixedIpOracle, Session, SessionSet, TreeOracle,
@@ -32,14 +32,14 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 /// `D` in stored scale, from scratch: the Neumaier sum M2 always ran.
-fn full_sum<O: TreeOracle + ?Sized>(engine: &mut Engine<'_, O>, g: &Graph) -> f64 {
+fn full_sum<O: TreeOracle + ?Sized>(engine: &Engine<'_, O>, g: &Graph) -> f64 {
     let sum: NeumaierSum =
         engine.stored_lengths().iter().zip(g.edge_ids()).map(|(d, e)| d * g.capacity(e)).collect();
     sum.value()
 }
 
 /// The historical stop test, from scratch.
-fn full_sum_reached_one<O: TreeOracle + ?Sized>(engine: &mut Engine<'_, O>, g: &Graph) -> bool {
+fn full_sum_reached_one<O: TreeOracle + ?Sized>(engine: &Engine<'_, O>, g: &Graph) -> bool {
     full_sum(engine, g) >= engine.stored_one()
 }
 
@@ -52,28 +52,26 @@ fn full_sums() -> u64 {
 /// static rescale) until the stop test fires, checking it against the
 /// full sum before every step. A step queries one oracle sweep over a
 /// random session subset and augments every returned tree, so trees that
-/// share an edge put it in one batch twice (the pointwise flush path).
-/// Returns the number of steps.
+/// share an edge grow it twice between two stop tests. Returns the number
+/// of steps.
 fn drive_checked<O: TreeOracle + ?Sized>(
     g: &Graph,
     oracle: &O,
     eps: f64,
-    mode: AugmentMode,
     rng: &mut Xoshiro256pp,
 ) -> u64 {
     let inv_caps: Vec<f64> = g.edge_ids().map(|e| 1.0 / g.capacity(e)).collect();
     let ln_top = ((1.0 + eps) / g.min_capacity()).ln() + 2.0;
     let lengths = ScaledLengths::new(&inv_caps, ln_delta_m2(eps, g.edge_count()), ln_top);
-    let mut engine =
-        Engine::new(g, oracle, lengths, LengthGrowth::Fptas { eps }).with_augment_mode(mode);
+    let mut engine = Engine::new(g, oracle, lengths, LengthGrowth::Fptas { eps });
     let k = oracle.sessions().len();
     let mut steps = 0u64;
     loop {
         let reached = engine.dual_reached_one();
         assert_eq!(
             reached,
-            full_sum_reached_one(&mut engine, g),
-            "{mode:?}, ε = {eps}: stop test disagrees with the full sum at step {steps}"
+            full_sum_reached_one(&engine, g),
+            "ε = {eps}: stop test disagrees with the full sum at step {steps}"
         );
         if reached {
             return steps;
@@ -91,20 +89,18 @@ fn drive_checked<O: TreeOracle + ?Sized>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random grids, both oracles, both augment modes, ε from 0.05 to
-    /// 0.9: the stop test equals the from-scratch full sum at every step.
+    /// Random grids, both oracles, ε from 0.05 to 0.9: the stop test
+    /// equals the from-scratch full sum at every step.
     #[test]
     fn stop_test_agrees_with_a_full_sum_at_every_step(seed in any::<u64>(), eps in 0.05f64..0.9) {
         let _guard = lock();
         let mut rng = Xoshiro256pp::new(seed);
         let g = random_grid(&mut rng);
         let sessions = random_sessions(&g, 2 + rng.index(2), 3, 1.0, &mut rng);
-        for mode in AugmentMode::ALL {
-            let fixed = FixedIpOracle::new(&g, &sessions);
-            prop_assert!(drive_checked(&g, &fixed, eps, mode, &mut rng) > 0);
-            let dynamic = DynamicOracle::new(&g, &sessions);
-            prop_assert!(drive_checked(&g, &dynamic, eps, mode, &mut rng) > 0);
-        }
+        let fixed = FixedIpOracle::new(&g, &sessions);
+        prop_assert!(drive_checked(&g, &fixed, eps, &mut rng) > 0);
+        let dynamic = DynamicOracle::new(&g, &sessions);
+        prop_assert!(drive_checked(&g, &dynamic, eps, &mut rng) > 0);
     }
 }
 
@@ -146,7 +142,7 @@ fn guard_band_falls_back_and_ulp_steps_stop_exactly() {
     assert_eq!(full_sums(), 1, "D = 3/4 is decided by the running sum alone");
 
     step_to(&mut engine, 1.0 - 2f64.powi(-44));
-    let d = full_sum(&mut engine, &g);
+    let d = full_sum(&engine, &g);
     assert!((1.0 - 2f64.powi(-40)..1.0).contains(&d), "landed outside the guard band: {d}");
     assert!(!engine.dual_reached_one(), "inside the guard band and still below 1");
     assert_eq!(full_sums(), 2, "inside the guard band the full sum must run");
@@ -158,7 +154,7 @@ fn guard_band_falls_back_and_ulp_steps_stop_exactly() {
         let tree = engine.min_tree(0);
         engine.augment(tree, tiny);
         steps += 1;
-        let expected = full_sum_reached_one(&mut engine, &g);
+        let expected = full_sum_reached_one(&engine, &g);
         assert_eq!(engine.dual_reached_one(), expected, "ulp step {steps}: decision moved");
         if expected {
             break;

@@ -1,10 +1,11 @@
 //! Unified execution-policy API for every parallel region in the
 //! workspace.
 //!
-//! Before this module, each consumer had its own ad-hoc knob: the sweep
-//! driver a `parallel: bool`, `fanout_trees` an implicit always-on
-//! parallel path, the `Reoptimizer` another bool. [`Parallelism`] is the
-//! one vocabulary they all accept now:
+//! Every parallel region takes its policy as one [`Parallelism`] value:
+//! the sweep driver (`SweepConfig::parallelism`), the replay checkpoint
+//! evaluation (`ReplayConfig::parallelism`), and the dynamic oracle's fan
+//! driver (`run_fan_chunks_with`, which reads it from the workspace pool).
+//! The vocabulary:
 //!
 //! * [`Parallelism::Serial`] — run on the calling thread, no pool at
 //!   all. This is the honest baseline benches compare against.

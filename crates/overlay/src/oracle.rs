@@ -25,9 +25,7 @@
 use crate::epoch::{EdgeEpochs, LengthView};
 use crate::session::SessionSet;
 use crate::tree::{OverlayHop, OverlayTree};
-use omcf_routing::{
-    fan_width, run_fan_chunks_with, BatchDijkstra, FixedRoutes, Path, QueueKind, WorkspacePool,
-};
+use omcf_routing::{run_fan_chunks_with, DijkstraWorkspace, FixedRoutes, Path, WorkspacePool};
 use omcf_telemetry::{stats, OwnedCounter};
 use omcf_topology::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -466,14 +464,13 @@ impl FanCache {
         self.run_id == epochs.run_id() && epochs.none_touched_since(&self.fan_edges, self.epoch)
     }
 
-    /// Refills the fan from lane `lane` of `batch`, one entry per member.
-    fn fill(&mut self, batch: &BatchDijkstra, lane: usize, members: &[NodeId]) {
+    /// Refills the fan from the run in `ws`, one entry per member.
+    fn fill(&mut self, ws: &DijkstraWorkspace, members: &[NodeId]) {
         self.dists.clear();
         self.paths.clear();
         for &b in members {
-            self.dists.push(batch.dist(lane, b));
-            self.paths
-                .push(batch.path_to(lane, b).expect("connected graph: member must be reachable"));
+            self.dists.push(ws.dist(b));
+            self.paths.push(ws.path_to(b).expect("connected graph: member must be reachable"));
         }
     }
 
@@ -514,17 +511,16 @@ impl DynState {
 /// rounds: round 0 reads each session's member-0 fan, and round r the fan
 /// of the member that session attached at step r. The member attached
 /// last never runs a fan. Each round's fans, across all queried
-/// sessions, go through one [`run_fan_chunks_with`] call: early-exit
-/// [`BatchDijkstra`] lanes at the calibrated [`fan_width`], chunks split
-/// across the pool's [`Parallelism`](omcf_numerics::Parallelism)
+/// sessions, go through one [`run_fan_chunks_with`] call: one early-exit
+/// [`DijkstraWorkspace`] run per fan, rounds of more than eight fans
+/// split across the pool's [`Parallelism`](omcf_numerics::Parallelism)
 /// workers, all rounds of a query reading one arc-order gather of its
 /// lengths. Epoch-backed queries skip the Dijkstra for a fan whose cached
 /// entry avoids every edge touched since it was computed (exact under
 /// monotone length growth). Uncached, bypassed and lock-contended queries
 /// run the same rounds with scratch fans. Trees are bit-identical to Prim
 /// over full per-member Dijkstras: early exit settles each member exactly
-/// as a full run does. All Dijkstras run the CSR core with the oracle's
-/// configured [`QueueKind`].
+/// as a full run does.
 #[derive(Debug)]
 pub struct DynamicOracle {
     g: Graph,
@@ -534,14 +530,11 @@ pub struct DynamicOracle {
     hits: OwnedCounter,
     misses: OwnedCounter,
     bypass: BypassGauge,
-    /// Batch fan engines are leased from here around every query. Oracles
+    /// Fan workspaces are leased from here around every query. Oracles
     /// built via [`Self::with_pool`] share the sweep driver's
     /// cross-instance pool; otherwise the oracle owns a private one so
     /// scratch still persists across calls.
     pool: Arc<WorkspacePool>,
-    /// Priority-queue discipline of every Dijkstra this oracle runs
-    /// (results are discipline-independent; see `docs/PERF.md`).
-    queue: QueueKind,
 }
 
 impl Clone for DynamicOracle {
@@ -555,7 +548,6 @@ impl Clone for DynamicOracle {
             misses: OwnedCounter::new(&stats::ORACLE_DYNAMIC_MISSES),
             bypass: BypassGauge::sized_for(total_fans(&self.sessions)),
             pool: Arc::clone(&self.pool),
-            queue: self.queue,
         }
     }
 }
@@ -576,23 +568,7 @@ impl DynamicOracle {
             misses: OwnedCounter::new(&stats::ORACLE_DYNAMIC_MISSES),
             bypass: BypassGauge::sized_for(total_fans(sessions)),
             pool: pool.unwrap_or_else(|| Arc::new(WorkspacePool::new())),
-            queue: QueueKind::default_kind(),
         }
-    }
-
-    /// Selects the priority-queue discipline for this oracle's Dijkstras
-    /// (default: binary heap). Every discipline computes bit-identical
-    /// trees; pick per `docs/PERF.md` guidance.
-    #[must_use]
-    pub fn with_queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
-
-    /// The oracle's priority-queue discipline.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue
     }
 
     /// Creates the oracle over a clone of the physical graph, with the
@@ -602,13 +578,13 @@ impl DynamicOracle {
         Self::build(g, sessions, true, None)
     }
 
-    /// Like [`Self::new`], but batch fan engines are leased from `pool`
+    /// Like [`Self::new`], but fan workspaces are leased from `pool`
     /// (and handed back after every query) instead of a private pool.
     /// Drivers that solve many instances over same-sized graphs (the
     /// scenario sweep) share one pool so the dense Dijkstra buffers are
     /// recycled across cells; the pool's
     /// [`Parallelism`](omcf_numerics::Parallelism) policy also governs how
-    /// lane chunks are split across workers.
+    /// each round's fans are split across workers.
     #[must_use]
     pub fn with_pool(g: &Graph, sessions: &SessionSet, pool: Arc<WorkspacePool>) -> Self {
         Self::build(g, sessions, true, Some(pool))
@@ -671,7 +647,6 @@ impl DynamicOracle {
         let slot = |q: usize| if epochs.is_some() { session_ids[q] } else { q };
         let mut prims: Vec<Prim> =
             (0..session_ids.len()).map(|q| Prim::new(members(q).len())).collect();
-        let width = fan_width(self.g.node_count());
         // Per round: the fans to compute, as (query, member).
         let mut stale: Vec<(usize, usize)> = Vec::new();
         // The lengths in arc order, gathered at the first round with fans
@@ -704,24 +679,21 @@ impl DynamicOracle {
                     stats::ROUTING_MIRROR_ARCS.add(arcs.len() as u64);
                     arcs
                 });
-                let engines = run_fan_chunks_with(
+                let runs = run_fan_chunks_with(
                     &self.g,
                     &jobs,
                     lengths,
                     arcs,
                     &self.pool,
-                    self.queue,
                     self.pool.parallelism(),
                 );
-                for (job, &(q, a)) in stale.iter().enumerate() {
+                for (ws, &(q, a)) in runs.into_iter().zip(&stale) {
                     let fan = &mut fans[slot(q)][a];
-                    fan.fill(&engines[job / width], job % width, members(q));
+                    fan.fill(&ws, members(q));
                     if let Some(epochs) = epochs {
                         fan.stamp(epochs);
                     }
-                }
-                for batch in engines {
-                    self.pool.give_back_batch(batch);
+                    self.pool.give_back(ws);
                 }
             }
             for (q, prim) in prims.iter_mut().enumerate() {
@@ -1161,32 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_kinds_compute_identical_trees() {
-        // The pluggable queues must be invisible in results: same overlay
-        // trees from every discipline, on both the batch-fan-out path and
-        // the epoch-cached path.
-        let g = canned::grid(4, 4, 10.0);
-        let sessions =
-            SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(6), NodeId(15)], 1.0)]);
-        let mut lengths = unit_lengths(&g);
-        for (i, l) in lengths.iter_mut().enumerate() {
-            *l += (i % 5) as f64 * 0.25;
-        }
-        let reference = DynamicOracle::new(&g, &sessions);
-        let t_ref = reference.min_tree(0, &lengths);
-        let epochs = EdgeEpochs::new(g.edge_count());
-        let v_ref = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        for kind in QueueKind::ALL {
-            let oracle = DynamicOracle::new(&g, &sessions).with_queue_kind(kind);
-            assert_eq!(oracle.queue_kind(), kind);
-            assert_eq!(oracle.min_tree(0, &lengths), t_ref, "{kind:?} batch path");
-            let view = LengthView::with_epochs(&lengths, &epochs);
-            assert_eq!(oracle.min_tree_view(0, view), v_ref, "{kind:?} epoch path");
-        }
-    }
-
-    #[test]
-    fn pooled_oracle_recycles_batch_engines() {
+    fn pooled_oracle_recycles_fan_workspaces() {
         let g = canned::grid(4, 4, 10.0);
         let sessions =
             SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0)]);
@@ -1196,25 +1143,20 @@ mod tests {
         let oracle = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
         let t = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         t.validate(sessions.session(0), &g);
-        // One engine per fan-width chunk of one round's jobs: a single
-        // session reads one fan per round, and each round hands its engines
-        // back before the next leases them again.
-        let engines = 1usize.div_ceil(omcf_routing::fan_width(g.node_count()));
-        assert_eq!(
-            pool.idle_batches(),
-            engines,
-            "the cold query's batch engines are back in the shared pool"
-        );
-        // The plain path leases the same engines instead of allocating.
+        // One workspace per fan of a round: a single session reads one fan
+        // per round, and each round hands its workspace back before the
+        // next leases it again.
+        assert_eq!(pool.idle(), 1, "the cold query's workspaces are back in the shared pool");
+        // The plain path leases the same workspace instead of allocating.
         let _ = oracle.min_tree(0, &lengths);
-        assert_eq!(pool.idle_batches(), engines, "plain path reuses the pooled engines");
+        assert_eq!(pool.idle(), 1, "plain path reuses the pooled workspace");
         // A second pooled oracle reuses the pool and computes the same tree.
         let oracle2 = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
         let reference = DynamicOracle::new(&g, &sessions);
         let t2 = oracle2.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         let tr = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         assert_eq!(t2, tr);
-        assert_eq!(pool.idle_batches(), engines);
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]

@@ -89,21 +89,6 @@ pub fn dijkstra_hops(g: &Graph, src: NodeId) -> ShortestPathTree {
     dijkstra(g, src, &ones)
 }
 
-/// Like [`dijkstra`] but with an explicit priority-queue discipline.
-/// Results are bit-identical for every [`QueueKind`](crate::QueueKind);
-/// only the constant factor differs (see `docs/PERF.md`).
-#[must_use]
-pub fn dijkstra_with(
-    g: &Graph,
-    src: NodeId,
-    lengths: &[f64],
-    kind: crate::queue::QueueKind,
-) -> ShortestPathTree {
-    let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
-    ws.run(g, src, lengths);
-    ws.into_tree()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,8 +7,8 @@
 //! vertices); the FPTAS then evaluates overlay edge lengths by summing its
 //! live per-edge lengths over these frozen paths.
 
-use crate::batch::{fan_width, BatchDijkstra};
 use crate::path::Path;
+use crate::workspace::DijkstraWorkspace;
 use omcf_topology::{EdgeId, Graph, NodeId};
 
 /// Pairwise fixed routes among a member set.
@@ -37,23 +37,19 @@ impl FixedRoutes {
         for (i, &n) in members.iter().enumerate() {
             member_pos[n.idx()] = Some(i as u32);
         }
-        // Hop-count Dijkstras through batch-engine lanes at the
-        // calibrated fan width, each lane early-exiting once all
+        // One hop-count Dijkstra per member, each early-exiting once all
         // members are settled: only member-pair paths are ever read, and
-        // settled paths are bit-identical to full per-source runs at
-        // any chunk width.
+        // settled paths are bit-identical to a full run.
         let ones = vec![1.0; g.edge_count()];
-        let mut batch = BatchDijkstra::new(g.node_count());
+        let mut ws = DijkstraWorkspace::new(g.node_count());
         let mut paths = Vec::with_capacity(m * m);
-        for chunk in members.chunks(fan_width(g.node_count())) {
-            batch.run_targets(g, chunk, &ones, members);
-            for (lane, &src) in chunk.iter().enumerate() {
-                for &dst in members {
-                    let p = batch
-                        .path_to(lane, dst)
-                        .unwrap_or_else(|| panic!("members {src:?} and {dst:?} are disconnected"));
-                    paths.push(p);
-                }
+        for &src in members {
+            ws.run_targets(g, src, &ones, members);
+            for &dst in members {
+                let p = ws
+                    .path_to(dst)
+                    .unwrap_or_else(|| panic!("members {src:?} and {dst:?} are disconnected"));
+                paths.push(p);
             }
         }
         Self { members: members.to_vec(), member_pos, paths }

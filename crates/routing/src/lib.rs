@@ -15,35 +15,26 @@
 //! [`omcf_topology::CsrGraph`] view with externally supplied per-edge
 //! lengths. The algorithm lives in [`DijkstraWorkspace`] — a
 //! pre-allocated, reusable buffer set with generation-stamped O(1)
-//! resets, a multi-target early-exit entry point, and a pluggable
-//! priority queue ([`QueueKind`]: binary heap, 4-ary heap, or a
-//! bucket/Dial queue for bounded-length regimes) — which implements the
-//! [`ShortestPath`] trait, the seam a future alternative engine plugs
-//! into; [`dijkstra()`] is the one-shot convenience wrapper around it. [`fanout_trees`] batches all of one
-//! session's member trees concurrently over a [`WorkspacePool`] with a
-//! deterministic merge order, and [`reference::dijkstra_adjacency`]
+//! resets, a multi-target early-exit entry point, and one binary heap;
+//! [`dijkstra()`] is the one-shot convenience wrapper around it.
+//! [`run_fan_chunks_with`] runs a round of early-exit fans, one
+//! workspace per `(source, targets)` job, over a [`WorkspacePool`] with
+//! a deterministic merge order, and [`reference::dijkstra_adjacency`]
 //! keeps the frozen pre-CSR adjacency-list implementation as the
 //! bit-exactness oracle and bench baseline.
 
-pub mod batch;
 pub mod dijkstra;
 pub mod dynamic;
 pub mod fanout;
 pub mod fixed;
 pub mod path;
-pub mod queue;
+mod queue;
 pub mod reference;
 pub(crate) mod slots;
 pub mod workspace;
 
-pub use batch::{fan_width, BatchDijkstra, LANE_CHUNK};
-pub use dijkstra::{dijkstra, dijkstra_with, ShortestPathTree};
+pub use dijkstra::{dijkstra, ShortestPathTree};
 pub use fanout::run_fan_chunks_with;
-pub use fanout::{
-    fanout_trees, fanout_trees_batched, fanout_trees_batched_with, fanout_trees_serial,
-    fanout_trees_with,
-};
 pub use fixed::FixedRoutes;
 pub use path::Path;
-pub use queue::{DijkstraQueue, QueueKind};
-pub use workspace::{DijkstraWorkspace, ShortestPath, WorkspacePool};
+pub use workspace::{DijkstraWorkspace, WorkspacePool};

@@ -1,512 +1,55 @@
-//! Pluggable priority queues for the Dijkstra hot path.
+//! The Dijkstra priority queue's entry type.
 //!
-//! All disciplines realize **exactly the same total order** — pop the
-//! minimum `(dist, payload)` pair, distances ascending, ties broken
-//! toward the smaller payload — so swapping the queue never changes a
-//! single relaxation and the computed trees stay bit-identical (pinned by
-//! `tests/prop.rs`). What changes is the constant factor:
-//!
-//! * [`QueueKind::Binary`] — `std::collections::BinaryHeap`. The safe
-//!   default; best general-purpose behaviour.
-//! * [`QueueKind::Quaternary`] — a 4-ary array heap. Shallower than the
-//!   binary heap (¼ the levels per sift-down) and its four children share
-//!   one cache line pair, which favours the decrease-heavy access pattern
-//!   of sparse graphs.
-//! * [`QueueKind::Dial`] — a bucket queue in the spirit of Dial's
-//!   algorithm, for the **bounded-length regimes** the Garg–Könemann
-//!   engine guarantees: lengths grow multiplicatively from `1/c_e` within
-//!   a bounded dynamic range per phase, so distances fall into a modest
-//!   number of buckets. Buckets are visited in order and each bucket is a
-//!   tiny binary heap, preserving the exact global pop order (unlike
-//!   classic Dial, which needs integer lengths). The monotonicity
-//!   argument: a relaxation pushed after popping distance `d` has
-//!   distance `≥ d`, and the bucket index is monotone in the distance, so
-//!   no push ever lands before the cursor. The bucket width is
-//!   *calibrated* per run from the live length distribution (the mean,
-//!   clamped below by `max/256`): the old `width = max` choice collapsed
-//!   the whole frontier into a couple of giant bucket-heaps, which is why
-//!   `csr_dial` used to lose to the binary heap on every BENCH_routing
-//!   scenario.
-//! * [`QueueKind::Auto`] — resolves to Dial or Binary per run from the
-//!   same length statistics: Dial when the dynamic range `max/mean` is
-//!   bounded (the engine's scaled-length regime), Binary otherwise. The
-//!   choice is made once in [`DijkstraQueue::prepare`], so the inner loop
-//!   still dispatches monomorphically.
-//!
-//! Queues are generic over the payload `P` (defaulting to [`NodeId`]):
-//! the single-source workspace queues bare nodes, while the batched
-//! multi-source path ([`crate::BatchDijkstra`]) queues `(lane, node)`
-//! packed into a `u64` so one shared queue orders all K frontiers by
-//! `(dist, lane, node)`.
-//!
-//! See `docs/PERF.md` for selection guidance and measured numbers.
+//! [`crate::DijkstraWorkspace`] holds one `std::collections::BinaryHeap`
+//! of [`HeapItem`]s and pushes and pops them directly in its relax loop.
+//! The heap pops the minimum `(dist, node)` pair: distances ascending,
+//! ties broken toward the smaller node id. That is exactly the pop order
+//! of the frozen adjacency-list reference, so relaxations — and therefore
+//! trees — stay bit-identical to it (pinned by `tests/prop.rs`).
 
 use omcf_topology::NodeId;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Which priority-queue discipline a Dijkstra workspace uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// `std` binary heap (default).
-    Binary,
-    /// 4-ary array heap.
-    Quaternary,
-    /// Bucket/Dial queue for bounded-length regimes.
-    Dial,
-    /// Picks Dial or Binary per run from the length distribution.
-    Auto,
-}
-
-impl QueueKind {
-    /// Every queue kind, in presentation order.
-    pub const ALL: [QueueKind; 4] =
-        [QueueKind::Binary, QueueKind::Quaternary, QueueKind::Dial, QueueKind::Auto];
-
-    /// The accepted spellings, for CLI error messages.
-    pub const VOCABULARY: &'static str = "`binary`, `quaternary`, `dial`, or `auto`";
-
-    /// Stable lowercase name (used in the bench schemas).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Binary => "binary",
-            Self::Quaternary => "quaternary",
-            Self::Dial => "dial",
-            Self::Auto => "auto",
-        }
-    }
-
-    /// Parses a (case-insensitive) name — the inverse of [`Self::name`],
-    /// for config/CLI surfaces that select a discipline by string.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|k| k.name().eq_ignore_ascii_case(s.trim()))
-    }
-
-    /// Pins the process-wide default discipline consumed by
-    /// [`Self::default_kind`] — the hook behind `repro --queue`. Only the
-    /// first call wins (returns `false` once a default is already pinned);
-    /// drivers should call it before constructing any oracle. Results are
-    /// discipline-independent, so this only changes constant factors.
-    pub fn set_process_default(kind: QueueKind) -> bool {
-        PROCESS_DEFAULT.set(kind).is_ok()
-    }
-
-    /// The discipline components use when none is configured explicitly:
-    /// the pinned process default, or [`QueueKind::Binary`].
-    #[must_use]
-    pub fn default_kind() -> QueueKind {
-        PROCESS_DEFAULT.get().copied().unwrap_or(QueueKind::Binary)
-    }
-}
-
-/// See [`QueueKind::set_process_default`].
-static PROCESS_DEFAULT: std::sync::OnceLock<QueueKind> = std::sync::OnceLock::new();
-
-/// Heap entry: `(tentative distance, payload)`, with the distance stored
-/// as its raw IEEE-754 bits. Dijkstra distances are always non-negative
+/// Heap entry: `(tentative distance, node)`, with the distance stored as
+/// its raw IEEE-754 bits. Dijkstra distances are always non-negative
 /// finite sums of non-negative lengths (`0.0 + x` never produces `-0.0`),
 /// and for non-negative floats the bit pattern orders exactly like the
-/// value — so `(bits, payload)` lexicographic integer comparison realizes
-/// the same `(dist, payload)` total order as float comparison, one branch
-/// cheaper per sift step in every discipline. Equal values have equal
-/// bits in this range, so even tie-breaking is unchanged and pop order is
-/// bit-identical. Public only because the [`DijkstraQueue::Binary`]
-/// variant exposes its `BinaryHeap`; construct through
-/// [`DijkstraQueue::push`].
+/// value — so `(bits, node)` lexicographic integer comparison realizes
+/// the same `(dist, node)` total order as float comparison, one branch
+/// cheaper per sift step. Equal values have equal bits in this range, so
+/// even tie-breaking is unchanged and pop order is bit-identical.
 #[derive(Debug, PartialEq)]
-pub struct HeapItem<P = NodeId> {
+pub(crate) struct HeapItem {
     bits: u64,
-    node: P,
+    node: NodeId,
 }
 
-impl<P: Copy + Ord> Eq for HeapItem<P> {}
+impl HeapItem {
+    /// The entry for `node` at tentative distance `dist`.
+    #[inline]
+    pub(crate) fn new(dist: f64, node: NodeId) -> Self {
+        Self { bits: dist.to_bits(), node }
+    }
 
-impl<P: Copy + Ord> Ord for HeapItem<P> {
+    /// The entry's `(distance, node)` pair.
+    #[inline]
+    pub(crate) fn get(&self) -> (f64, NodeId) {
+        (f64::from_bits(self.bits), self.node)
+    }
+}
+
+impl Eq for HeapItem {}
+
+impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance bits, then on payload for determinism.
+        // Min-heap on distance bits, then on node id for determinism.
         other.bits.cmp(&self.bits).then_with(|| other.node.cmp(&self.node))
     }
 }
 
-impl<P: Copy + Ord> PartialOrd for HeapItem<P> {
+impl PartialOrd for HeapItem {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// `(dist bits, payload)` strict-weak-order "less" shared by the
-/// array-based queues: distance ascending, payload breaking ties (see
-/// [`HeapItem`] for why integer bit comparison is order-exact here).
-#[inline]
-fn less<P: Copy + Ord>(a: (u64, P), b: (u64, P)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-/// 4-ary min-heap over `(dist, payload)` pairs in one flat array.
-#[derive(Debug)]
-pub struct QuaternaryHeap<P = NodeId> {
-    items: Vec<(u64, P)>,
-}
-
-impl<P> Default for QuaternaryHeap<P> {
-    fn default() -> Self {
-        Self { items: Vec::new() }
-    }
-}
-
-impl<P: Copy + Ord> QuaternaryHeap<P> {
-    const ARITY: usize = 4;
-
-    fn push(&mut self, item: (u64, P)) {
-        self.items.push(item);
-        let mut i = self.items.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if less(self.items[i], self.items[parent]) {
-                self.items.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, P)> {
-        let last = self.items.len().checked_sub(1)?;
-        self.items.swap(0, last);
-        let top = self.items.pop().expect("nonempty");
-        let n = self.items.len();
-        let mut i = 0;
-        loop {
-            let first_child = i * Self::ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let mut best = first_child;
-            for c in (first_child + 1)..(first_child + Self::ARITY).min(n) {
-                if less(self.items[c], self.items[best]) {
-                    best = c;
-                }
-            }
-            if less(self.items[best], self.items[i]) {
-                self.items.swap(i, best);
-                i = best;
-            } else {
-                break;
-            }
-        }
-        Some(top)
-    }
-
-    fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
-
-/// Binary sift-up/down over a bucket's `(dist, payload)` vector (the Dial
-/// queue's per-bucket heap).
-fn bucket_push<P: Copy + Ord>(bucket: &mut Vec<(u64, P)>, item: (u64, P)) {
-    bucket.push(item);
-    let mut i = bucket.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if less(bucket[i], bucket[parent]) {
-            bucket.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn bucket_pop<P: Copy + Ord>(bucket: &mut Vec<(u64, P)>) -> Option<(u64, P)> {
-    let last = bucket.len().checked_sub(1)?;
-    bucket.swap(0, last);
-    let top = bucket.pop().expect("nonempty");
-    let n = bucket.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        if l >= n {
-            break;
-        }
-        let best = if r < n && less(bucket[r], bucket[l]) { r } else { l };
-        if less(bucket[best], bucket[i]) {
-            bucket.swap(i, best);
-            i = best;
-        } else {
-            break;
-        }
-    }
-    Some(top)
-}
-
-/// Forward-only bucket queue: bucket `⌊dist/width⌋`, cursor advancing
-/// monotonically, exact `(dist, payload)` order within a bucket via a
-/// small binary heap. Any positive width is order-correct (the bucket
-/// index is clamped to the cursor, so monotone pushes never land behind
-/// it); [`DijkstraQueue::prepare`] calibrates it from the run's length
-/// distribution so the buckets stay small.
-#[derive(Debug)]
-pub struct DialQueue<P = NodeId> {
-    width_inv: f64,
-    buckets: Vec<Vec<(u64, P)>>,
-    cursor: usize,
-    len: usize,
-}
-
-impl<P> Default for DialQueue<P> {
-    fn default() -> Self {
-        Self { width_inv: 1.0, buckets: Vec::new(), cursor: 0, len: 0 }
-    }
-}
-
-impl<P: Copy + Ord> DialQueue<P> {
-    /// Sets the bucket width for the coming run (falls back to 1 when
-    /// the width is zero, i.e. all lengths are zero) and resets.
-    fn prepare(&mut self, width: f64) {
-        debug_assert!(width.is_finite() && width >= 0.0);
-        self.width_inv = if width > 0.0 { width.recip() } else { 1.0 };
-        self.clear();
-    }
-
-    fn bucket_index(&self, dist: f64) -> usize {
-        // Monotone in `dist` (one correctly-rounded multiply, then a
-        // truncation), so pushes after a pop at distance d — which have
-        // distance ≥ d — can never map before the cursor.
-        let idx = (dist * self.width_inv) as usize;
-        idx.max(self.cursor)
-    }
-
-    fn push(&mut self, item: (u64, P)) {
-        let idx = self.bucket_index(f64::from_bits(item.0));
-        if idx >= self.buckets.len() {
-            self.buckets.resize_with(idx + 1, Vec::new);
-        }
-        bucket_push(&mut self.buckets[idx], item);
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, P)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        self.len -= 1;
-        bucket_pop(&mut self.buckets[self.cursor])
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cursor = 0;
-        self.len = 0;
-    }
-}
-
-/// The [`QueueKind::Auto`] state: both disciplines live here and
-/// [`DijkstraQueue::prepare`] flips `use_dial` per run, so the choice is
-/// made once per run and the inner loop still runs monomorphically on
-/// whichever queue was picked.
-#[derive(Debug)]
-pub struct AutoQueue<P = NodeId> {
-    pub(crate) heap: BinaryHeap<HeapItem<P>>,
-    pub(crate) dial: DialQueue<P>,
-    pub(crate) use_dial: bool,
-}
-
-impl<P> Default for AutoQueue<P> {
-    fn default() -> Self {
-        Self { heap: BinaryHeap::new(), dial: DialQueue::default(), use_dial: false }
-    }
-}
-
-/// `max/mean` length ratio below which [`QueueKind::Auto`] picks the
-/// Dial queue. A bounded ratio means the calibrated bucket width keeps
-/// every bucket small (the engine's scaled-length regime); a long-tailed
-/// distribution makes the bucket walk pay more than the heap saves.
-const AUTO_DIAL_MAX_OVER_MEAN: f64 = 8.0;
-
-/// `(max, mean)` of a length array in one pass — the statistics both the
-/// Dial calibration and the Auto choice key off.
-fn length_stats(lengths: &[f64]) -> (f64, f64) {
-    let (mut max, mut sum) = (0.0f64, 0.0f64);
-    for &l in lengths {
-        max = max.max(l);
-        sum += l;
-    }
-    let mean = if lengths.is_empty() { 0.0 } else { sum / lengths.len() as f64 };
-    (max, mean)
-}
-
-/// The calibrated Dial bucket width for a run: the mean length, clamped
-/// below by `max/256` so a heavily skewed distribution cannot explode the
-/// bucket count. Purely a performance choice — any width pops the same
-/// order.
-fn dial_width(max: f64, mean: f64) -> f64 {
-    if max > 0.0 {
-        mean.max(max / 256.0)
-    } else {
-        0.0
-    }
-}
-
-/// Enum-dispatched priority queue: one concrete type the workspace can
-/// hold while the discipline stays a runtime choice. Generic over the
-/// payload `P` ([`NodeId`] for single-source, a packed `(lane, node)`
-/// `u64` for the batched path).
-#[derive(Debug)]
-pub enum DijkstraQueue<P = NodeId> {
-    /// `std` binary heap.
-    Binary(BinaryHeap<HeapItem<P>>),
-    /// 4-ary array heap.
-    Quaternary(QuaternaryHeap<P>),
-    /// Bucket/Dial queue.
-    Dial(DialQueue<P>),
-    /// Per-run choice between Dial and Binary.
-    Auto(AutoQueue<P>),
-}
-
-impl<P: Copy + Ord> DijkstraQueue<P> {
-    /// An empty queue of the given discipline.
-    #[must_use]
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Binary => Self::Binary(BinaryHeap::new()),
-            QueueKind::Quaternary => Self::Quaternary(QuaternaryHeap::default()),
-            QueueKind::Dial => Self::Dial(DialQueue::default()),
-            QueueKind::Auto => Self::Auto(AutoQueue::default()),
-        }
-    }
-
-    /// The discipline of this queue.
-    #[must_use]
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            Self::Binary(_) => QueueKind::Binary,
-            Self::Quaternary(_) => QueueKind::Quaternary,
-            Self::Dial(_) => QueueKind::Dial,
-            Self::Auto(_) => QueueKind::Auto,
-        }
-    }
-
-    /// Per-run setup: the Dial queue calibrates its bucket width from
-    /// the run's length distribution and the Auto queue additionally
-    /// picks its discipline (one `O(E)` scan, done lazily here so the
-    /// pure heap disciplines never pay it); the heaps just clear.
-    pub fn prepare(&mut self, lengths: &[f64]) {
-        match self {
-            Self::Binary(h) => h.clear(),
-            Self::Quaternary(h) => h.clear(),
-            Self::Dial(d) => {
-                let (max, mean) = length_stats(lengths);
-                d.prepare(dial_width(max, mean));
-            }
-            Self::Auto(a) => {
-                let (max, mean) = length_stats(lengths);
-                a.use_dial = max > 0.0 && max <= AUTO_DIAL_MAX_OVER_MEAN * mean;
-                a.heap.clear();
-                a.dial.prepare(dial_width(max, mean));
-            }
-        }
-    }
-
-    /// Inserts a `(dist, payload)` entry.
-    pub fn push(&mut self, dist: f64, node: P) {
-        let bits = dist.to_bits();
-        match self {
-            Self::Binary(h) => h.push(HeapItem { bits, node }),
-            Self::Quaternary(h) => h.push((bits, node)),
-            Self::Dial(d) => d.push((bits, node)),
-            Self::Auto(a) if a.use_dial => a.dial.push((bits, node)),
-            Self::Auto(a) => a.heap.push(HeapItem { bits, node }),
-        }
-    }
-
-    /// Removes and returns the minimum `(dist, payload)` entry — the
-    /// same entry for every discipline.
-    pub fn pop(&mut self) -> Option<(f64, P)> {
-        let raw = match self {
-            Self::Binary(h) => h.pop().map(|i| (i.bits, i.node)),
-            Self::Quaternary(h) => h.pop(),
-            Self::Dial(d) => d.pop(),
-            Self::Auto(a) if a.use_dial => a.dial.pop(),
-            Self::Auto(a) => a.heap.pop().map(|i| (i.bits, i.node)),
-        };
-        raw.map(|(bits, node)| (f64::from_bits(bits), node))
-    }
-
-    /// Number of queued entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Binary(h) => h.len(),
-            Self::Quaternary(h) => h.len(),
-            Self::Dial(d) => d.len,
-            Self::Auto(a) if a.use_dial => a.dial.len,
-            Self::Auto(a) => a.heap.len(),
-        }
-    }
-
-    /// True when no entries are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Monomorphic push/pop interface over the concrete queue types: the
-/// Dijkstra inner loops are generic over this, so the discipline is
-/// dispatched **once per run**, not once per heap operation (the
-/// enum-level [`DijkstraQueue::push`]/[`pop`](DijkstraQueue::pop) exist
-/// for callers outside the hot loop).
-pub(crate) trait QueueOps<P> {
-    fn push_entry(&mut self, dist: f64, node: P);
-    fn pop_entry(&mut self) -> Option<(f64, P)>;
-}
-
-impl<P: Copy + Ord> QueueOps<P> for BinaryHeap<HeapItem<P>> {
-    #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push(HeapItem { bits: dist.to_bits(), node });
-    }
-
-    #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|i| (f64::from_bits(i.bits), i.node))
-    }
-}
-
-impl<P: Copy + Ord> QueueOps<P> for QuaternaryHeap<P> {
-    #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push((dist.to_bits(), node));
-    }
-
-    #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|(bits, node)| (f64::from_bits(bits), node))
-    }
-}
-
-impl<P: Copy + Ord> QueueOps<P> for DialQueue<P> {
-    #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push((dist.to_bits(), node));
-    }
-
-    #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|(bits, node)| (f64::from_bits(bits), node))
     }
 }
 
@@ -514,155 +57,24 @@ impl<P: Copy + Ord> QueueOps<P> for DialQueue<P> {
 mod tests {
     use super::*;
     use omcf_numerics::{Rng64, Xoshiro256pp};
-
-    /// Drains a queue fed with `items`, interleaving pushes the way
-    /// Dijkstra does (every push after a pop is ≥ the popped dist).
-    fn drain(kind: QueueKind, items: &[(f64, u32)]) -> Vec<(f64, u32)> {
-        let mut q = DijkstraQueue::new(kind);
-        let lengths: Vec<f64> = items.iter().map(|&(d, _)| d).collect();
-        q.prepare(&lengths);
-        for &(d, n) in items {
-            q.push(d, NodeId(n));
-        }
-        let mut out = Vec::new();
-        while let Some((d, n)) = q.pop() {
-            out.push((d, n.0));
-        }
-        out
-    }
+    use std::collections::BinaryHeap;
 
     #[test]
-    fn all_kinds_pop_identical_sequences() {
+    fn heap_pops_in_dist_then_node_order_ties_included() {
         let mut rng = Xoshiro256pp::new(42);
-        for round in 0..20 {
+        for _ in 0..20 {
             let n = 1 + rng.index(50);
             let items: Vec<(f64, u32)> = (0..n)
                 // Coarse distances provoke ties; node ids break them.
                 .map(|_| (rng.index(8) as f64 * 0.5, rng.index(12) as u32))
                 .collect();
-            let reference = drain(QueueKind::Binary, &items);
-            for kind in [QueueKind::Quaternary, QueueKind::Dial, QueueKind::Auto] {
-                assert_eq!(drain(kind, &items), reference, "{kind:?} diverged (round {round})");
-            }
-            // The reference really is sorted by (dist, node).
-            let mut sorted = reference.clone();
+            let mut heap: BinaryHeap<HeapItem> =
+                items.iter().map(|&(d, v)| HeapItem::new(d, NodeId(v))).collect();
+            let popped: Vec<(f64, u32)> =
+                std::iter::from_fn(|| heap.pop()).map(|i| (i.get().0, i.get().1 .0)).collect();
+            let mut sorted = items;
             sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            assert_eq!(reference, sorted);
-        }
-    }
-
-    #[test]
-    fn dial_handles_monotone_interleaving() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Dial);
-        q.prepare(&[1.0, 2.0, 0.5]);
-        q.push(0.0, NodeId(0));
-        let (d0, n0) = q.pop().unwrap();
-        assert_eq!((d0, n0.0), (0.0, 0));
-        // Relaxations from the popped node: all ≥ its distance.
-        q.push(2.0, NodeId(2));
-        q.push(0.7, NodeId(1));
-        assert_eq!(q.pop().unwrap().1 .0, 1);
-        q.push(0.9, NodeId(3)); // still ≥ 0.7
-        assert_eq!(q.pop().unwrap().1 .0, 3);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn zero_lengths_fall_back_to_unit_width() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Dial);
-        q.prepare(&[0.0, 0.0]);
-        q.push(0.0, NodeId(5));
-        q.push(0.0, NodeId(1));
-        assert_eq!(q.pop().unwrap().1 .0, 1, "node id breaks the tie");
-        assert_eq!(q.pop().unwrap().1 .0, 5);
-    }
-
-    #[test]
-    fn kind_parse_round_trips() {
-        for kind in QueueKind::ALL {
-            assert_eq!(QueueKind::parse(kind.name()), Some(kind));
-            assert_eq!(QueueKind::parse(&kind.name().to_uppercase()), Some(kind));
-            assert!(QueueKind::VOCABULARY.contains(kind.name()), "vocabulary must list {kind:?}");
-        }
-        assert_eq!(QueueKind::parse("fibonacci"), None);
-        let q: DijkstraQueue = DijkstraQueue::new(QueueKind::Quaternary);
-        assert_eq!(q.kind(), QueueKind::Quaternary);
-    }
-
-    /// Auto picks Dial exactly when the `max/mean` ratio is bounded, and
-    /// both resolutions pop the documented order.
-    #[test]
-    fn auto_resolves_per_run_from_length_stats() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Auto);
-        assert_eq!(q.kind(), QueueKind::Auto);
-
-        // Tight distribution: Dial territory.
-        q.prepare(&[1.0, 1.1, 0.9, 1.0]);
-        match &q {
-            DijkstraQueue::Auto(a) => assert!(a.use_dial, "bounded ratio must pick Dial"),
-            _ => unreachable!(),
-        }
-        q.push(0.5, NodeId(2));
-        q.push(0.5, NodeId(1));
-        q.push(0.1, NodeId(9));
-        assert_eq!(q.pop().unwrap().1 .0, 9);
-        assert_eq!(q.pop().unwrap().1 .0, 1);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-
-        // Long tail: one huge outlier over many tiny lengths — Binary.
-        let mut skewed = vec![1e-6; 1000];
-        skewed.push(1.0);
-        q.prepare(&skewed);
-        match &q {
-            DijkstraQueue::Auto(a) => assert!(!a.use_dial, "long tail must pick Binary"),
-            _ => unreachable!(),
-        }
-        q.push(0.5, NodeId(2));
-        q.push(0.1, NodeId(9));
-        assert_eq!(q.pop().unwrap().1 .0, 9);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-    }
-
-    /// The calibrated width keeps skewed distributions order-correct:
-    /// the clamp `mean.max(max/256)` only changes bucket shape, never
-    /// the pop order.
-    #[test]
-    fn calibrated_width_preserves_order_on_skewed_lengths() {
-        let mut rng = Xoshiro256pp::new(7);
-        let mut items = Vec::new();
-        for _ in 0..200 {
-            // Mostly tiny distances with occasional huge outliers.
-            let d = if rng.index(10) == 0 {
-                rng.index(1000) as f64
-            } else {
-                rng.index(50) as f64 * 1e-3
-            };
-            items.push((d, rng.index(64) as u32));
-        }
-        let reference = drain(QueueKind::Binary, &items);
-        assert_eq!(drain(QueueKind::Dial, &items), reference);
-    }
-
-    /// `u64` payloads (the batched path's packed `(lane, node)` key)
-    /// order by distance then payload — lane-major, node within lane.
-    #[test]
-    fn u64_payloads_order_by_dist_then_lane_then_node() {
-        for kind in QueueKind::ALL {
-            let mut q: DijkstraQueue<u64> = DijkstraQueue::new(kind);
-            q.prepare(&[1.0]);
-            let pack = |lane: u64, node: u64| (lane << 32) | node;
-            q.push(0.5, pack(1, 0));
-            q.push(0.5, pack(0, 7));
-            q.push(0.5, pack(0, 3));
-            q.push(0.2, pack(2, 9));
-            let order: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(
-                order,
-                vec![(0.2, pack(2, 9)), (0.5, pack(0, 3)), (0.5, pack(0, 7)), (0.5, pack(1, 0)),],
-                "{kind:?}"
-            );
+            assert_eq!(popped, sorted);
         }
     }
 }

@@ -8,8 +8,7 @@
 //! "optimized":
 //!
 //! * the bit-exactness oracle for `tests/prop.rs` — the CSR workspace
-//!   under every [`QueueKind`](crate::QueueKind) is pinned to produce
-//!   identical distance bits and identical paths;
+//!   is pinned to produce identical distance bits and identical paths;
 //! * the baseline of the `routing_csr` bench, whose CSR-vs-adjacency
 //!   speedup is recorded in `BENCH_routing.json`.
 

@@ -1,4 +1,4 @@
-//! Packed per-node relaxation state shared by the Dijkstra engines.
+//! Packed per-node relaxation state of the Dijkstra workspace.
 //!
 //! The relax loop's critical sequence — *read the state word, compare
 //! the tentative distance, consult the tie-break parent, write all
@@ -7,9 +7,8 @@
 //! lines per visited node. [`NodeSlot`] packs the whole record into
 //! one 24-byte struct (8-aligned: an `f64` distance, two `u32` parent
 //! halves with [`NO_PARENT`] as the `None` sentinel, and the `u32`
-//! generation/flag word), so both [`crate::DijkstraWorkspace`] and the
-//! lane slots of [`crate::BatchDijkstra`] read and write one location
-//! per relaxation.
+//! generation/flag word), so [`crate::DijkstraWorkspace`] reads and
+//! writes one location per relaxation.
 //!
 //! The packing is pure layout: the stored values, the relaxation
 //! order and the deterministic tie-break are unchanged (the tie-break
@@ -25,7 +24,7 @@ use omcf_topology::{EdgeId, NodeId};
 /// so the sentinel can never collide with a real predecessor.
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 
-/// One node's (or one lane-slot's) complete relaxation record.
+/// One node's complete relaxation record.
 #[derive(Clone, Copy, Debug)]
 #[repr(C)]
 pub(crate) struct NodeSlot {
@@ -60,10 +59,10 @@ impl NodeSlot {
     }
 }
 
-/// Weight lookup for the relax loops, monomorphized like the queue
-/// disciplines: the generic loop compiles once per source, so the plain
-/// edge-indexed path and the contiguous arc-mirror path differ by a
-/// single load with no branch in between.
+/// Weight lookup for the relax loop, monomorphized: the generic loop
+/// compiles once per source, so the plain edge-indexed path and the
+/// contiguous arc-mirror path differ by a single load with no branch in
+/// between.
 pub(crate) trait ArcWeights: Copy {
     /// Length of the edge behind arc slot `arc` (whose edge id is `e`).
     fn weight(&self, arc: usize, e: EdgeId) -> f64;
@@ -84,7 +83,7 @@ impl ArcWeights for EdgeIndexed<'_> {
 /// Arc-ordered mirror of the live lengths
 /// (`mirror[a] = lengths[arc_edges[a]]`, built by
 /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)
-/// once per fan and shared by every run in it): the inner loop streams
+/// once per oracle query and shared by every fan in it): the inner loop streams
 /// one contiguous array instead of gathering through the edge-id table.
 #[derive(Clone, Copy)]
 pub(crate) struct ArcMirror<'a>(pub &'a [f64]);

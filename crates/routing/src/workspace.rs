@@ -7,56 +7,31 @@
 //! entry point stops as soon as every requested target is settled. The
 //! inner loop walks the graph's struct-of-arrays
 //! [`CsrGraph`](omcf_topology::CsrGraph) (offsets/heads/edge-ids in
-//! contiguous arrays) through a pluggable priority queue
-//! ([`QueueKind`]); the workspace implements the [`ShortestPath`]
-//! abstraction the oracles and fan-out drivers consume.
+//! contiguous arrays) and pushes and pops one concrete
+//! `std::collections::BinaryHeap`. This is the workspace's only engine:
+//! the oracles, [`FixedRoutes`](crate::FixedRoutes) and the fan driver
+//! [`run_fan_chunks_with`](crate::run_fan_chunks_with) all run it.
 //!
-//! Every entry point and every queue discipline runs *exactly* the
-//! algorithm of the frozen adjacency-list reference
-//! ([`crate::reference::dijkstra_adjacency`]) — identical relaxation
-//! order (the CSR preserves `neighbors()` arc order), identical pop
-//! order (all queues realize the same `(dist, node)` total order),
-//! identical deterministic tie-breaking — so distances and extracted
-//! paths are bit-identical across layouts and queues (the property tests
-//! in `tests/prop.rs` pin this). Early exit is safe for the same reason
-//! Dijkstra is correct: once a node is settled its distance and parent
-//! are final, so any settled target's path is the same whether or not
-//! the remaining nodes are ever popped.
+//! Every entry point runs *exactly* the algorithm of the frozen
+//! adjacency-list reference ([`crate::reference::dijkstra_adjacency`]) —
+//! identical relaxation order (the CSR preserves `neighbors()` arc
+//! order), identical `(dist, node)` pop order, identical deterministic
+//! tie-breaking — so distances and extracted paths are bit-identical
+//! across layouts (the property tests in `tests/prop.rs` pin this).
+//! Early exit is safe for the same reason Dijkstra is correct: once a
+//! node is settled its distance and parent are final, so any settled
+//! target's path is the same whether or not the remaining nodes are
+//! ever popped.
 //!
 //! [`dijkstra`]: crate::dijkstra::dijkstra
 
 use crate::dijkstra::ShortestPathTree;
 use crate::path::Path;
-use crate::queue::{DijkstraQueue, QueueKind, QueueOps};
+use crate::queue::HeapItem;
 use crate::slots::{ArcMirror, ArcWeights, EdgeIndexed, NodeSlot, NO_PARENT};
 use omcf_telemetry::stats;
 use omcf_topology::{Graph, NodeId};
 use std::collections::BinaryHeap;
-
-/// Single-source shortest-path engine abstraction — the extension seam
-/// of the routing core. [`DijkstraWorkspace`] is today's only
-/// implementation and the oracles hold it concretely (its inherent
-/// methods are this trait's methods, so switching a call site to
-/// `impl ShortestPath`/`dyn ShortestPath` is a signature change, not a
-/// rewrite); an alternative engine (e.g. a bidirectional or Δ-stepping
-/// variant) implements this trait and inherits the whole bit-exactness
-/// test harness in `tests/prop.rs` as its conformance suite.
-pub trait ShortestPath {
-    /// Number of nodes the engine is sized for.
-    fn node_count(&self) -> usize;
-    /// Full single-source run: settle every reachable node.
-    fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]);
-    /// Early-exit run: stop once every node in `targets` is settled.
-    fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]);
-    /// Source of the last run.
-    fn source(&self) -> NodeId;
-    /// Distance from the source to `n` after the last run.
-    fn dist(&self, n: NodeId) -> f64;
-    /// Shortest path to `n` after the last run, `None` if unreached.
-    fn path_to(&self, n: NodeId) -> Option<Path>;
-    /// Owned snapshot of the last (full) run.
-    fn to_tree(&self) -> ShortestPathTree;
-}
 
 /// Pre-allocated single-source shortest-path state, reusable across runs.
 ///
@@ -85,7 +60,8 @@ pub struct DijkstraWorkspace {
     /// Always a multiple of 4, advancing by 4 per run so the two flag
     /// bits can never collide with a stamp comparison.
     gen: u32,
-    queue: DijkstraQueue,
+    /// Reused across runs (cleared at the start of each).
+    heap: BinaryHeap<HeapItem>,
 }
 
 /// `state[v]` bit 0: node is an early-exit target of the current run.
@@ -96,23 +72,14 @@ const STATE_DONE: u32 = 2;
 const GEN_STRIDE: u32 = 4;
 
 impl DijkstraWorkspace {
-    /// Creates a workspace for graphs of `n` nodes with the default
-    /// binary-heap queue.
+    /// Creates a workspace for graphs of `n` nodes.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_queue(n, QueueKind::Binary)
-    }
-
-    /// Creates a workspace with an explicit priority-queue discipline.
-    /// Every [`QueueKind`] computes bit-identical results; see
-    /// `docs/PERF.md` for selection guidance.
-    #[must_use]
-    pub fn with_queue(n: usize, kind: QueueKind) -> Self {
         Self {
             src: NodeId(0),
             slots: vec![NodeSlot::UNREACHED; n],
             gen: 0,
-            queue: DijkstraQueue::new(kind),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -120,21 +87,6 @@ impl DijkstraWorkspace {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The priority-queue discipline this workspace runs with.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Switches the priority-queue discipline (a no-op when it already
-    /// matches). Results are unaffected — every discipline realizes the
-    /// same pop order — so pooled workspaces can be retargeted freely.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        if self.queue.kind() != kind {
-            self.queue = DijkstraQueue::new(kind);
-        }
     }
 
     fn begin(&mut self, src: NodeId) {
@@ -181,18 +133,26 @@ impl DijkstraWorkspace {
         self.run_inner(g, src, lengths, EdgeIndexed(lengths), targets);
     }
 
-    /// Full run reading lengths through a prebuilt arc-ordered mirror
-    /// (`arc_lengths[a] = lengths[arc_edges[a]]`, see
+    /// [`Self::run_targets`] reading lengths through a prebuilt
+    /// arc-ordered mirror (`arcs[a] = lengths[arc_edges[a]]`, see
     /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)):
     /// the inner loop streams one contiguous array instead of gathering
-    /// per arc. Results are bit-identical to [`Self::run`] — the same
-    /// values are read, from a different layout. The fan drivers build
-    /// the mirror once per length assignment and amortize it over every
-    /// member run; single-run callers should stay on [`Self::run`], which
-    /// skips the O(arcs) gather.
-    pub(crate) fn run_arcs(&mut self, g: &Graph, src: NodeId, lengths: &[f64], arcs: &[f64]) {
+    /// per arc. Results are bit-identical to [`Self::run_targets`] — the
+    /// same values are read, from a different layout. An empty `targets`
+    /// runs to completion like [`Self::run`]. The fan driver builds the
+    /// mirror once per length assignment and amortizes it over every run
+    /// of the fan; single-run callers should stay on [`Self::run_targets`],
+    /// which skips the O(arcs) gather.
+    pub(crate) fn run_targets_arcs(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        lengths: &[f64],
+        arcs: &[f64],
+        targets: &[NodeId],
+    ) {
         debug_assert_eq!(arcs.len(), g.csr().arc_count(), "arc mirror sized for g");
-        self.run_inner(g, src, lengths, ArcMirror(arcs), &[]);
+        self.run_inner(g, src, lengths, ArcMirror(arcs), targets);
     }
 
     fn run_inner<W: ArcWeights>(
@@ -207,35 +167,6 @@ impl DijkstraWorkspace {
         assert_eq!(self.slots.len(), g.node_count(), "workspace sized for a different graph");
         debug_assert!(lengths.iter().all(|l| *l >= 0.0 && l.is_finite()));
         self.begin(src);
-        // Swap the queue into a local and dispatch the discipline ONCE:
-        // the hot loop is monomorphized per concrete queue type, so no
-        // per-push/per-pop enum match survives into the inner loop. The
-        // placeholder is allocation-free (`BinaryHeap::new`).
-        let mut queue =
-            std::mem::replace(&mut self.queue, DijkstraQueue::Binary(BinaryHeap::new()));
-        queue.prepare(lengths);
-        match &mut queue {
-            DijkstraQueue::Binary(q) => self.run_loop(g, src, weights, targets, q),
-            DijkstraQueue::Quaternary(q) => self.run_loop(g, src, weights, targets, q),
-            DijkstraQueue::Dial(q) => self.run_loop(g, src, weights, targets, q),
-            // Auto resolved its discipline in `prepare`; dispatch to the
-            // chosen inner queue so the loop stays monomorphic.
-            DijkstraQueue::Auto(a) if a.use_dial => {
-                self.run_loop(g, src, weights, targets, &mut a.dial);
-            }
-            DijkstraQueue::Auto(a) => self.run_loop(g, src, weights, targets, &mut a.heap),
-        }
-        self.queue = queue;
-    }
-
-    fn run_loop<W: ArcWeights, Q: QueueOps<NodeId>>(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        weights: W,
-        targets: &[NodeId],
-        queue: &mut Q,
-    ) {
         // Captured once per run: queue/relaxation events are batched in
         // locals and flushed after the loop, so the inner loop carries no
         // atomics and the disabled cost is this one load.
@@ -262,18 +193,20 @@ impl DijkstraWorkspace {
                 pending += 1;
             }
         }
-        queue.push_entry(0.0, src);
+        let heap = &mut self.heap;
+        heap.clear();
+        heap.push(HeapItem::new(0.0, src));
         pushes += 1;
         // Hot loop over the struct-of-arrays CSR: per arc, one contiguous
         // read of (edge id, head) instead of the edge-record pointer
         // chase, and one packed slot holding the target node's whole
-        // relaxation record. Arc order equals `neighbors()` order and
-        // every queue discipline realizes the same pop order, so
-        // relaxations — and therefore results — are bit-identical to the
-        // adjacency-list reference (`crate::reference`, pinned by
-        // `tests/prop.rs`).
+        // relaxation record. Arc order equals `neighbors()` order and the
+        // heap pops in `(dist, node)` order, so relaxations — and
+        // therefore results — are bit-identical to the adjacency-list
+        // reference (`crate::reference`, pinned by `tests/prop.rs`).
         let csr = g.csr();
-        while let Some((d, u)) = queue.pop_entry() {
+        while let Some(item) = heap.pop() {
+            let (d, u) = item.get();
             pops += 1;
             let su = self.slots[u.idx()].state;
             if su >= gen + STATE_DONE {
@@ -313,7 +246,7 @@ impl DijkstraWorkspace {
                         // on re-touches.
                         slot.state = gen;
                     }
-                    queue.push_entry(nd, v);
+                    heap.push(HeapItem::new(nd, v));
                     pushes += 1;
                 }
             }
@@ -406,41 +339,11 @@ impl DijkstraWorkspace {
     }
 }
 
-impl ShortestPath for DijkstraWorkspace {
-    fn node_count(&self) -> usize {
-        DijkstraWorkspace::node_count(self)
-    }
-
-    fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]) {
-        DijkstraWorkspace::run(self, g, src, lengths);
-    }
-
-    fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
-        DijkstraWorkspace::run_targets(self, g, src, lengths, targets);
-    }
-
-    fn source(&self) -> NodeId {
-        DijkstraWorkspace::source(self)
-    }
-
-    fn dist(&self, n: NodeId) -> f64 {
-        DijkstraWorkspace::dist(self, n)
-    }
-
-    fn path_to(&self, n: NodeId) -> Option<Path> {
-        DijkstraWorkspace::path_to(self, n)
-    }
-
-    fn to_tree(&self) -> ShortestPathTree {
-        DijkstraWorkspace::to_tree(self)
-    }
-}
-
 /// A shared pool of [`DijkstraWorkspace`]s for drivers that run many solver
 /// instances over same-sized graphs (the sweep driver): instead of every
 /// oracle allocating its per-member workspaces from scratch, it leases them
-/// here and returns them when dropped, so the dense `dist`/`parent`/stamp
-/// buffers are recycled across cells. Lock contention is a non-issue: the
+/// here and hands them back after every query, so the dense slot buffers
+/// are recycled across cells. Lock contention is a non-issue: the
 /// pool is touched once per lease/return, not per Dijkstra run — workspaces
 /// are private to their holder between the two.
 ///
@@ -449,18 +352,15 @@ impl ShortestPath for DijkstraWorkspace {
 /// that finish a sweep drop the pool (or call [`Self::clear`]).
 ///
 /// The pool also carries the [`Parallelism`](omcf_numerics::Parallelism)
-/// policy that [`fanout_trees`](crate::fanout_trees) runs under — the pool
-/// is the one object every fan-out call already threads through, so it
-/// doubles as the policy carrier (default:
+/// policy the fan driver [`run_fan_chunks_with`](crate::run_fan_chunks_with)
+/// runs under — the pool is the one object every fan call already threads
+/// through, so it doubles as the policy carrier (default:
 /// [`Parallelism::Auto`](omcf_numerics::Parallelism::Auto), which joins
 /// the ambient pool when the fan-out happens inside a parallel sweep
 /// cell).
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: std::sync::Mutex<Vec<DijkstraWorkspace>>,
-    /// Batched multi-source engines, pooled separately (their lane
-    /// storage is K× a single workspace, worth recycling on its own).
-    free_batches: std::sync::Mutex<Vec<crate::batch::BatchDijkstra>>,
     /// Arc-ordered length mirrors (one `f64` per arc), recycled across
     /// fan calls so the once-per-fan gather never reallocates.
     free_mirrors: std::sync::Mutex<Vec<Vec<f64>>>,
@@ -491,25 +391,15 @@ impl WorkspacePool {
     /// exact size if available, otherwise allocates fresh.
     #[must_use]
     pub fn lease(&self, n: usize) -> DijkstraWorkspace {
-        self.lease_with(n, QueueKind::Binary)
-    }
-
-    /// Like [`Self::lease`] but with an explicit queue discipline. A
-    /// recycled workspace of another discipline is retargeted in place
-    /// (results are discipline-independent, so this is always safe).
-    #[must_use]
-    pub fn lease_with(&self, n: usize, kind: QueueKind) -> DijkstraWorkspace {
         stats::ROUTING_POOL_LEASES.inc();
         let mut free = self.free.lock().expect("workspace pool poisoned");
         if let Some(pos) = free.iter().position(|ws| ws.node_count() == n) {
-            let mut ws = free.swap_remove(pos);
-            ws.set_queue_kind(kind);
-            ws
+            free.swap_remove(pos)
         } else {
             // Cache-miss allocation: whether the free list was empty here
             // depends on thread interleaving, hence the Wall-class counter.
             stats::ROUTING_POOL_ALLOCS.inc();
-            DijkstraWorkspace::with_queue(n, kind)
+            DijkstraWorkspace::new(n)
         }
     }
 
@@ -518,29 +408,6 @@ impl WorkspacePool {
     /// holder — no reset pass is needed.
     pub fn give_back(&self, ws: DijkstraWorkspace) {
         self.free.lock().expect("workspace pool poisoned").push(ws);
-    }
-
-    /// Leases a batched multi-source engine sized for `n` nodes with the
-    /// given queue discipline: recycles a pooled one of the exact size
-    /// if available (retargeting its discipline in place), otherwise
-    /// allocates fresh. Lane storage adapts to each run's source count.
-    #[must_use]
-    pub fn lease_batch(&self, n: usize, kind: QueueKind) -> crate::batch::BatchDijkstra {
-        stats::ROUTING_POOL_LEASES.inc();
-        let mut free = self.free_batches.lock().expect("workspace pool poisoned");
-        if let Some(pos) = free.iter().position(|b| b.node_count() == n) {
-            let mut b = free.swap_remove(pos);
-            b.set_queue_kind(kind);
-            b
-        } else {
-            stats::ROUTING_POOL_ALLOCS.inc();
-            crate::batch::BatchDijkstra::with_queue(n, kind)
-        }
-    }
-
-    /// Returns a batched engine to the pool for future leases.
-    pub fn give_back_batch(&self, b: crate::batch::BatchDijkstra) {
-        self.free_batches.lock().expect("workspace pool poisoned").push(b);
     }
 
     /// Leases a scratch buffer for an arc-ordered length mirror (any
@@ -562,22 +429,15 @@ impl WorkspacePool {
         self.free_mirrors.lock().expect("workspace pool poisoned").push(m);
     }
 
-    /// Number of idle pooled batched engines.
-    #[must_use]
-    pub fn idle_batches(&self) -> usize {
-        self.free_batches.lock().expect("workspace pool poisoned").len()
-    }
-
     /// Number of idle pooled workspaces.
     #[must_use]
     pub fn idle(&self) -> usize {
         self.free.lock().expect("workspace pool poisoned").len()
     }
 
-    /// Drops all pooled workspaces, batched engines and mirror buffers.
+    /// Drops all pooled workspaces and mirror buffers.
     pub fn clear(&self) {
         self.free.lock().expect("workspace pool poisoned").clear();
-        self.free_batches.lock().expect("workspace pool poisoned").clear();
         self.free_mirrors.lock().expect("workspace pool poisoned").clear();
     }
 }

@@ -1,24 +1,20 @@
 //! Property-based tests pinning the packed-slot relaxation state and the
 //! arc-mirrored weight path to the frozen adjacency-list reference.
 //!
-//! Since the packed-state refactor, `DijkstraWorkspace` and every
-//! `BatchDijkstra` lane keep their per-node relaxation state (distance,
+//! `DijkstraWorkspace` keeps its per-node relaxation state (distance,
 //! parent edge, parent node, generation word) in one cache-line-friendly
-//! SoA-of-structs slab, and the parallel fan entry points gather the live
-//! lengths into arc order once per fan so the relax loop streams a
-//! contiguous weight array. Neither change may move a single bit: every
-//! test below compares `to_bits` on distances and exact path equality
-//! against `reference::dijkstra_adjacency` — the pre-refactor
-//! adjacency-list implementation kept frozen precisely to pin layouts
-//! like this one — across random graphs, tie-heavy and smooth length
-//! profiles, every queue discipline, and real multi-threaded pools.
+//! SoA-of-structs slab, and the fan driver reads the live lengths through
+//! an arc-order mirror gathered once per round so the relax loop streams
+//! a contiguous weight array. Neither may move a single bit: every test
+//! below compares `to_bits` on distances and exact path equality against
+//! `reference::dijkstra_adjacency` — the pre-refactor adjacency-list
+//! implementation kept frozen precisely to pin layouts like this one —
+//! across random graphs, tie-heavy and smooth length profiles, and real
+//! multi-threaded pools.
 
 use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    fan_width, fanout_trees_batched_with, fanout_trees_with, run_fan_chunks_with, QueueKind,
-    WorkspacePool,
-};
+use omcf_routing::{run_fan_chunks_with, WorkspacePool};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -31,8 +27,7 @@ fn graph(seed: u64, n: usize) -> Graph {
 /// Tie-heavy or smooth random lengths (same profile split as
 /// `tests/prop.rs`): integer-ish lengths provoke equal-distance pop
 /// ties — the case where a packed-slot tie-break bug would surface as a
-/// different parent — while fractional ones exercise the Dial queue's
-/// non-uniform buckets.
+/// different parent — while fractional ones rarely tie.
 fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
     (0..g.edge_count())
         .map(|_| {
@@ -52,82 +47,56 @@ fn threads(n: usize) -> Parallelism {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The per-source parallel fan-out — which mirrors the lengths into
-    /// arc order once and streams it from every worker — is bit-identical
-    /// to the adjacency reference for every queue discipline, on both
-    /// length profiles, at multiple thread counts.
+    /// Whole-tree fans through the mirror: every job targets every node,
+    /// so each run settles its whole reachable tree reading the arc-order
+    /// mirror, and every node matches the adjacency reference bit for bit
+    /// on both length profiles, at multiple thread counts.
     #[test]
     fn mirrored_fanout_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xA1);
         let members: Vec<NodeId> =
             (0..6.min(n)).map(|_| NodeId(rng.index(n) as u32)).collect();
+        let all: Vec<NodeId> = g.nodes().collect();
+        let jobs: Vec<(NodeId, &[NodeId])> = members.iter().map(|&m| (m, &all[..])).collect();
         let pool = WorkspacePool::new();
+        let mut arcs = Vec::new();
         for round in 0..2u32 {
             let lengths = random_lengths(&g, &mut rng, round);
-            for kind in QueueKind::ALL {
-                for t in [2usize, 4] {
-                    let trees =
-                        fanout_trees_with(&g, &members, &lengths, &pool, kind, threads(t));
-                    for (i, &src) in members.iter().enumerate() {
-                        let reference = dijkstra_adjacency(&g, src, &lengths);
-                        for v in g.nodes() {
-                            prop_assert_eq!(
-                                trees[i].dist(v).to_bits(),
-                                reference.dist(v).to_bits(),
-                                "mirrored fan-out distance bits diverged ({:?}, {} threads)",
-                                kind, t
-                            );
-                            prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The lane-batched fan-out (packed multi-lane slots + arc mirror) is
-    /// bit-identical to the adjacency reference for every queue
-    /// discipline, serial and threaded.
-    #[test]
-    fn mirrored_batched_fanout_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 0xA2);
-        let members: Vec<NodeId> =
-            (0..7.min(n)).map(|_| NodeId(rng.index(n) as u32)).collect();
-        let lengths = random_lengths(&g, &mut rng, 0);
-        let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
-            for policy in [Parallelism::Serial, threads(4)] {
-                let trees =
-                    fanout_trees_batched_with(&g, &members, &lengths, &pool, kind, policy);
-                for (i, &src) in members.iter().enumerate() {
+            g.csr().fill_arc_lengths(&lengths, &mut arcs);
+            for t in [2usize, 4] {
+                let runs = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, threads(t));
+                for (ws, &src) in runs.iter().zip(&members) {
                     let reference = dijkstra_adjacency(&g, src, &lengths);
                     for v in g.nodes() {
                         prop_assert_eq!(
-                            trees[i].dist(v).to_bits(),
+                            ws.dist(v).to_bits(),
                             reference.dist(v).to_bits(),
-                            "batched fan-out distance bits diverged ({:?})",
-                            kind
+                            "mirrored fan distance bits diverged ({} threads)",
+                            t
                         );
-                        prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
+                        prop_assert_eq!(ws.path_to(v), reference.path_to(v));
                     }
+                }
+                for ws in runs {
+                    pool.give_back(ws);
                 }
             }
         }
     }
 
-    /// Early-exit fan engines (the oracle recompute shape): each job's
-    /// settled targets carry exactly the reference's distance bits and
-    /// paths, for every queue discipline, serial and threaded.
+    /// Early-exit fans (the oracle recompute shape): each job's settled
+    /// targets carry exactly the reference's distance bits and paths,
+    /// serial and threaded. One job targets every node, so the mirror
+    /// stays pinned on whole trees next to the early exits.
     #[test]
     fn mirrored_fan_chunks_bit_identical_on_targets(seed in any::<u64>(), n in 10usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xA3);
         let lengths = random_lengths(&g, &mut rng, 0);
-        let width = fan_width(g.node_count());
-        // A handful of jobs, each fanning to its own small target set.
-        let jobs_owned: Vec<(NodeId, Vec<NodeId>)> = (0..9)
+        // Nine jobs (one more than a parallel task), each fanning to its
+        // own small target set, plus one whole-tree job.
+        let mut jobs_owned: Vec<(NodeId, Vec<NodeId>)> = (0..9)
             .map(|_| {
                 let src = NodeId(rng.index(n) as u32);
                 let tgts: Vec<NodeId> =
@@ -135,31 +104,29 @@ proptest! {
                 (src, tgts)
             })
             .collect();
+        jobs_owned.push((NodeId(rng.index(n) as u32), g.nodes().collect()));
         let jobs: Vec<(NodeId, &[NodeId])> =
             jobs_owned.iter().map(|(s, t)| (*s, t.as_slice())).collect();
         let pool = WorkspacePool::new();
         let mut arcs = Vec::new();
         g.csr().fill_arc_lengths(&lengths, &mut arcs);
-        for kind in QueueKind::ALL {
-            for policy in [Parallelism::Serial, threads(4)] {
-                let engines = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, kind, policy);
-                for (i, (src, tgts)) in jobs_owned.iter().enumerate() {
-                    let engine = &engines[i / width];
-                    let lane = i % width;
-                    let reference = dijkstra_adjacency(&g, *src, &lengths);
-                    for &t in tgts {
-                        prop_assert_eq!(
-                            engine.dist(lane, t).to_bits(),
-                            reference.dist(t).to_bits(),
-                            "fan-chunk target distance bits diverged ({:?})",
-                            kind
-                        );
-                        prop_assert_eq!(engine.path_to(lane, t), reference.path_to(t));
-                    }
+        for policy in [Parallelism::Serial, threads(4)] {
+            let runs = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, policy);
+            prop_assert_eq!(runs.len(), jobs.len());
+            for (ws, (src, tgts)) in runs.iter().zip(&jobs_owned) {
+                let reference = dijkstra_adjacency(&g, *src, &lengths);
+                for &t in tgts {
+                    prop_assert_eq!(
+                        ws.dist(t).to_bits(),
+                        reference.dist(t).to_bits(),
+                        "fan target distance bits diverged ({:?})",
+                        policy
+                    );
+                    prop_assert_eq!(ws.path_to(t), reference.path_to(t));
                 }
-                for engine in engines {
-                    pool.give_back_batch(engine);
-                }
+            }
+            for ws in runs {
+                pool.give_back(ws);
             }
         }
     }

@@ -4,8 +4,7 @@ use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
 use omcf_routing::dijkstra::{dijkstra, dijkstra_hops};
 use omcf_routing::reference::dijkstra_adjacency;
 use omcf_routing::{
-    fanout_trees, fanout_trees_serial, fanout_trees_with, DijkstraWorkspace, FixedRoutes,
-    QueueKind, WorkspacePool,
+    run_fan_chunks_with, DijkstraWorkspace, FixedRoutes, ShortestPathTree, WorkspacePool,
 };
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
@@ -17,8 +16,7 @@ fn graph(seed: u64, n: usize) -> Graph {
 }
 
 /// Tie-heavy or smooth random lengths, depending on `round` (integer-ish
-/// lengths provoke equal-distance pop ties; fractional ones exercise the
-/// Dial queue's non-uniform buckets).
+/// lengths provoke equal-distance pop ties; fractional ones rarely tie).
 fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
     (0..g.edge_count())
         .map(|_| {
@@ -29,6 +27,45 @@ fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// One round of `jobs` through the fan driver under `policy`, each
+/// job's workspace snapshotted whole (settled and tentative values
+/// alike, so the comparison covers every byte the run left behind) and
+/// handed back to `pool`.
+fn fan_round(
+    g: &Graph,
+    jobs: &[(NodeId, &[NodeId])],
+    lengths: &[f64],
+    pool: &WorkspacePool,
+    policy: Parallelism,
+) -> Vec<ShortestPathTree> {
+    let mut arcs = Vec::new();
+    g.csr().fill_arc_lengths(lengths, &mut arcs);
+    run_fan_chunks_with(g, jobs, lengths, &arcs, pool, policy)
+        .into_iter()
+        .map(|ws| {
+            let tree = ws.to_tree();
+            pool.give_back(ws);
+            tree
+        })
+        .collect()
+}
+
+/// More than eight `(source, targets)` jobs — enough that a threaded
+/// round splits across workers — each fanning to its own few targets.
+fn random_jobs(rng: &mut Xoshiro256pp, n: usize) -> Vec<(NodeId, Vec<NodeId>)> {
+    (0..9 + rng.index(8))
+        .map(|_| {
+            let src = NodeId(rng.index(n) as u32);
+            let targets = (0..1 + rng.index(4)).map(|_| NodeId(rng.index(n) as u32)).collect();
+            (src, targets)
+        })
+        .collect()
+}
+
+fn threads(n: usize) -> Parallelism {
+    Parallelism::Threads(std::num::NonZeroUsize::new(n).expect("nonzero"))
 }
 
 proptest! {
@@ -138,37 +175,35 @@ proptest! {
     }
 
     /// The CSR-backed workspace is **bit-identical** to the frozen
-    /// pre-refactor adjacency-list Dijkstra, for every priority-queue
-    /// discipline, across randomized graphs, seeds and length profiles:
-    /// equal distance bits (`to_bits`, not epsilon) and equal
-    /// deterministic tie-broken paths from every source.
+    /// pre-refactor adjacency-list Dijkstra across randomized graphs,
+    /// seeds and length profiles: equal distance bits (`to_bits`, not
+    /// epsilon) and equal deterministic tie-broken paths from every
+    /// source.
     #[test]
     fn csr_bit_identical_to_adjacency_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 7);
+        let mut ws = DijkstraWorkspace::new(g.node_count());
         for round in 0..2u32 {
             let lengths = random_lengths(&g, &mut rng, round);
-            for kind in QueueKind::ALL {
-                let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
-                for src in g.nodes() {
-                    ws.run(&g, src, &lengths);
-                    let reference = dijkstra_adjacency(&g, src, &lengths);
-                    for v in g.nodes() {
-                        prop_assert_eq!(
-                            ws.dist(v).to_bits(),
-                            reference.dist(v).to_bits(),
-                            "distance bits diverged ({:?}, src {:?}, node {:?})",
-                            kind, src, v
-                        );
-                        prop_assert_eq!(ws.path_to(v), reference.path_to(v));
-                    }
+            for src in g.nodes() {
+                ws.run(&g, src, &lengths);
+                let reference = dijkstra_adjacency(&g, src, &lengths);
+                for v in g.nodes() {
+                    prop_assert_eq!(
+                        ws.dist(v).to_bits(),
+                        reference.dist(v).to_bits(),
+                        "distance bits diverged (src {:?}, node {:?})",
+                        src, v
+                    );
+                    prop_assert_eq!(ws.path_to(v), reference.path_to(v));
                 }
             }
         }
     }
 
     /// Early-exit runs are bit-identical to the adjacency reference on
-    /// the settled targets, for every queue discipline.
+    /// the settled targets.
     #[test]
     fn csr_early_exit_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
@@ -178,65 +213,56 @@ proptest! {
             rng.sample_indices(n, 4.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
         let src = targets[0];
         let reference = dijkstra_adjacency(&g, src, &lengths);
-        for kind in QueueKind::ALL {
-            let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
-            ws.run_targets(&g, src, &lengths, &targets);
-            for &t in &targets {
-                prop_assert_eq!(ws.dist(t).to_bits(), reference.dist(t).to_bits());
-                prop_assert_eq!(ws.path_to(t), reference.path_to(t));
-            }
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        ws.run_targets(&g, src, &lengths, &targets);
+        for &t in &targets {
+            prop_assert_eq!(ws.dist(t).to_bits(), reference.dist(t).to_bits());
+            prop_assert_eq!(ws.path_to(t), reference.path_to(t));
         }
     }
 
-    /// Parallel member fan-out is byte-identical to the serial loop:
-    /// same trees, same order, for every queue discipline and every
-    /// tested thread count (real worker pools with genuine stealing) —
-    /// and each tree matches the adjacency reference bit-for-bit.
+    /// A fan round of more than eight jobs is byte-identical to the
+    /// serial loop — same workspaces, same order, at every tested thread
+    /// count (real worker pools with genuine stealing) — and each job's
+    /// targets match the adjacency reference bit-for-bit.
     #[test]
     fn parallel_fanout_byte_identical_to_serial(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 9);
         let lengths = random_lengths(&g, &mut rng, 1);
-        let members: Vec<NodeId> =
-            rng.sample_indices(n, 5.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
+        let owned = random_jobs(&mut rng, n);
+        let jobs: Vec<(NodeId, &[NodeId])> = owned.iter().map(|(s, t)| (*s, &t[..])).collect();
         let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
-            let par = fanout_trees(&g, &members, &lengths, &pool, kind);
-            let ser = fanout_trees_serial(&g, &members, &lengths, &pool, kind);
-            prop_assert_eq!(&par, &ser, "fan-out merge order diverged ({:?})", kind);
-            for threads in [1usize, 2, 4, 8] {
-                let policy =
-                    Parallelism::Threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-                let counted = fanout_trees_with(&g, &members, &lengths, &pool, kind, policy);
-                prop_assert_eq!(
-                    &counted, &ser,
-                    "fan-out diverged at {} threads ({:?})", threads, kind
-                );
-            }
-            for (i, &src) in members.iter().enumerate() {
-                let reference = dijkstra_adjacency(&g, src, &lengths);
-                for v in g.nodes() {
-                    prop_assert_eq!(par[i].dist(v).to_bits(), reference.dist(v).to_bits());
-                    prop_assert_eq!(par[i].path_to(v), reference.path_to(v));
-                }
+        let ser = fan_round(&g, &jobs, &lengths, &pool, Parallelism::Serial);
+        prop_assert_eq!(ser.len(), jobs.len());
+        for threads_n in [1usize, 2, 4, 8] {
+            let counted = fan_round(&g, &jobs, &lengths, &pool, threads(threads_n));
+            prop_assert_eq!(&counted, &ser, "fan round diverged at {} threads", threads_n);
+        }
+        for (tree, (src, targets)) in ser.iter().zip(&owned) {
+            let reference = dijkstra_adjacency(&g, *src, &lengths);
+            for &t in targets {
+                prop_assert_eq!(tree.dist(t).to_bits(), reference.dist(t).to_bits());
+                prop_assert_eq!(tree.path_to(t), reference.path_to(t));
             }
         }
     }
 
-    /// Repeated fan-outs at the same thread count are stable: stealing
+    /// Repeated fan rounds at the same thread count are stable: stealing
     /// order varies run to run, output must not.
     #[test]
     fn repeated_fanout_at_same_thread_count_is_stable(seed in any::<u64>(), n in 8usize..32) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 31);
         let lengths = random_lengths(&g, &mut rng, 0);
-        let members: Vec<NodeId> =
-            rng.sample_indices(n, 6.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
-        let policy = Parallelism::Threads(std::num::NonZeroUsize::new(4).expect("nonzero"));
-        let pool = WorkspacePool::new().with_parallelism(policy);
-        let first = fanout_trees(&g, &members, &lengths, &pool, QueueKind::Binary);
-        let second = fanout_trees(&g, &members, &lengths, &pool, QueueKind::Binary);
-        prop_assert_eq!(&first, &second, "repeated fan-out at 4 threads is unstable");
+        let owned = random_jobs(&mut rng, n);
+        let jobs: Vec<(NodeId, &[NodeId])> = owned.iter().map(|(s, t)| (*s, &t[..])).collect();
+        let pool = WorkspacePool::new().with_parallelism(threads(4));
+        let first = fan_round(&g, &jobs, &lengths, &pool, pool.parallelism());
+        let second = fan_round(&g, &jobs, &lengths, &pool, pool.parallelism());
+        prop_assert_eq!(&first, &second, "repeated fan round at 4 threads is unstable");
+        let serial = fan_round(&g, &jobs, &lengths, &pool, Parallelism::Serial);
+        prop_assert_eq!(&first, &serial, "fan round at 4 threads diverged from serial");
     }
 
     /// Under uniform lengths scaled by any constant, the chosen routes'

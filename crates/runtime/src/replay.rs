@@ -32,12 +32,6 @@ pub struct ReplayConfig {
     pub reopt_every: usize,
     /// Batch re-solver for the drift series.
     pub reoptimizer: Reoptimizer,
-    /// Deprecated on/off switch, kept for one release. `true` upgrades a
-    /// `Serial` policy to `Auto`; it never overrides an explicit
-    /// `Threads(n)`. Output bytes are identical either way.
-    #[deprecated(note = "set `parallelism` instead; this bool only upgrades \
-                         `Serial` to `Auto`")]
-    pub parallel: bool,
     /// Execution policy for checkpoint evaluation. Output bytes are
     /// identical to serial evaluation; only wall clock changes.
     pub parallelism: Parallelism,
@@ -47,14 +41,12 @@ impl ReplayConfig {
     /// Defaults: drift sampled every 4 events through the default
     /// (M2-based) reoptimizer, serial evaluation.
     #[must_use]
-    #[allow(deprecated)]
     pub fn new(rho: f64, routing: RoutingMode) -> Self {
         Self {
             rho,
             routing,
             reopt_every: 4,
             reoptimizer: Reoptimizer::default(),
-            parallel: false,
             parallelism: Parallelism::Serial,
         }
     }
@@ -73,36 +65,11 @@ impl ReplayConfig {
         self
     }
 
-    /// Enables/disables parallel checkpoint evaluation.
-    #[deprecated(note = "use `with_parallelism(Parallelism::Auto)` / \
-                         `with_parallelism(Parallelism::Serial)` instead")]
-    #[must_use]
-    #[allow(deprecated)]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self.parallelism = if parallel { Parallelism::Auto } else { Parallelism::Serial };
-        self
-    }
-
     /// Sets the execution policy for checkpoint evaluation.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// The policy checkpoint evaluation actually runs under:
-    /// `parallelism`, with the deprecated `parallel` bool upgrading a
-    /// still-`Serial` policy to `Auto` (old call sites that only set the
-    /// bool keep their meaning).
-    #[must_use]
-    #[allow(deprecated)]
-    pub fn effective_parallelism(&self) -> Parallelism {
-        if self.parallel && self.parallelism == Parallelism::Serial {
-            Parallelism::Auto
-        } else {
-            self.parallelism
-        }
     }
 }
 
@@ -197,8 +164,7 @@ pub fn resume_replay(
             checkpoints.push(cp);
         }
     }
-    let drift =
-        cfg.reoptimizer.evaluate(&checkpoints, cfg.routing, cfg.rho, cfg.effective_parallelism());
+    let drift = cfg.reoptimizer.evaluate(&checkpoints, cfg.routing, cfg.rho, cfg.parallelism);
     let report = ReplayReport {
         events: events.len(),
         joins,
@@ -264,22 +230,6 @@ mod tests {
             assert_eq!(ia, ib);
             assert_eq!(ra.to_bits(), rb.to_bits());
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_bool_forwards_to_the_policy() {
-        let base = ReplayConfig::new(25.0, RoutingMode::FixedIp);
-        assert_eq!(base.effective_parallelism(), Parallelism::Serial);
-        assert_eq!(base.with_parallel(true).effective_parallelism(), Parallelism::Auto);
-        // Old code that sets the raw field still gets what it meant.
-        let mut raw = ReplayConfig::new(25.0, RoutingMode::FixedIp);
-        raw.parallel = true;
-        assert_eq!(raw.effective_parallelism(), Parallelism::Auto);
-        // The bool never overrides an explicit thread count.
-        let n = std::num::NonZeroUsize::new(2).unwrap();
-        let explicit = raw.with_parallelism(Parallelism::Threads(n));
-        assert_eq!(explicit.effective_parallelism(), Parallelism::Threads(n));
     }
 
     #[test]

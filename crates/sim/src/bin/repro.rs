@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--paper] [--micro] [--seed N] [--out DIR] [--solvers LIST]
-//!       [--threads N|serial|auto] [--queue binary|quaternary|dial|auto]
-//!       [--augment batched|per-edge] [--shards N] <artifact>...
+//!       [--threads N|serial|auto] [--shards N] <artifact>...
 //!
 //! artifacts: fig1 table2 fig2 table4 fig3 fig4 fig5 fig6
 //!            table7 table8 fig7 fig8 fig9 fig10 fig11
@@ -35,25 +34,9 @@
 //! `OMCF_THREADS` environment variable, which beats the `auto` default.
 //! Every artifact is byte-identical under every policy — threads change
 //! wall-clock time only (see docs/PERF.md).
-//!
-//! `--queue` pins the priority-queue discipline of every oracle Dijkstra
-//! (default `binary`; `auto` calibrates Dial vs. binary per run from the
-//! live length distribution). Like `--threads`, it can never change a
-//! byte of any artifact — all disciplines compute bit-identical trees —
-//! so it exists purely to measure and exploit constant-factor differences
-//! (see docs/PERF.md).
-//!
-//! `--augment` picks how the solver engine applies length growth
-//! (default `batched`: a phase's updates are deferred and applied in one
-//! CSR sweep at the next length read; `per-edge` writes each update
-//! immediately, the pre-batching behaviour). The per-edge float-op
-//! sequence is preserved verbatim either way, so — like `--threads` and
-//! `--queue` — the choice can never change a byte of any artifact (see
-//! docs/ENGINE.md).
 
 use omcf_core::solver::SolverKind;
-use omcf_core::{AugmentMode, Parallelism};
-use omcf_routing::QueueKind;
+use omcf_core::Parallelism;
 use omcf_runtime::{replay_churn, ReplayConfig};
 use omcf_sim::experiments::{evaluation, fig1, part_one, sensitivity, Config};
 use omcf_sim::figures::Figure;
@@ -71,8 +54,6 @@ struct Cli {
     artifacts: Vec<String>,
     solvers: Vec<SolverKind>,
     parallelism: Parallelism,
-    queue: QueueKind,
-    augment: AugmentMode,
     /// `Some(path)` turns telemetry collection on and writes the profile
     /// JSON there at exit (bare `--profile` defaults to
     /// `<out>/profile.json`).
@@ -122,8 +103,6 @@ fn parse_args() -> Cli {
     let mut artifacts = Vec::new();
     let mut solvers = SolverKind::ALL.to_vec();
     let mut threads_flag: Option<Parallelism> = None;
-    let mut queue = QueueKind::Binary;
-    let mut augment = AugmentMode::Batched;
     // Inner Option is the explicit `--profile=PATH` target; outer Some
     // means profiling was requested at all (bare `--profile` resolves to
     // `<out>/profile.json` once `--out` is known).
@@ -141,25 +120,6 @@ fn parse_args() -> Cli {
                     die(&format!("--threads needs a value: {}", Parallelism::VOCABULARY))
                 });
                 threads_flag = Some(Parallelism::parse(&value).unwrap_or_else(|e| die(&e)));
-            }
-            "--queue" => {
-                let value = args.next().unwrap_or_else(|| {
-                    die(&format!("--queue needs a value: {}", QueueKind::VOCABULARY))
-                });
-                queue = QueueKind::parse(&value).unwrap_or_else(|| {
-                    die(&format!("unknown queue `{value}`; valid kinds: {}", QueueKind::VOCABULARY))
-                });
-            }
-            "--augment" => {
-                let value = args.next().unwrap_or_else(|| {
-                    die(&format!("--augment needs a value: {}", AugmentMode::VOCABULARY))
-                });
-                augment = AugmentMode::parse(&value).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown augment `{value}`; valid kinds: {}",
-                        AugmentMode::VOCABULARY
-                    ))
-                });
             }
             "--shards" => {
                 shards =
@@ -220,12 +180,11 @@ fn parse_args() -> Cli {
     let env_policy = Parallelism::from_env().unwrap_or_else(|e| die(&e));
     let parallelism = threads_flag.unwrap_or(env_policy);
     let profile = profile.map(|p| p.unwrap_or_else(|| out.join("profile.json")));
-    Cli { cfg, out, artifacts, solvers, parallelism, queue, augment, profile, log_level, shards }
+    Cli { cfg, out, artifacts, solvers, parallelism, profile, log_level, shards }
 }
 
 const HELP: &str = "repro [--paper] [--micro] [--seed N] [--out DIR] [--solvers LIST] \
-     [--threads N|serial|auto] [--queue binary|quaternary|dial|auto] \
-     [--augment batched|per-edge] [--shards N] [--profile[=PATH]] \
+     [--threads N|serial|auto] [--shards N] [--profile[=PATH]] \
      [--verbose|--quiet] <artifact>...\n\
   artifacts: fig1 table2 fig2 table4 fig3 fig4 fig5 fig6 table7 table8\n\
              fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16\n\
@@ -234,10 +193,6 @@ const HELP: &str = "repro [--paper] [--micro] [--seed N] [--out DIR] [--solvers 
   --solvers: comma-separated subset of the sweep solvers (case-insensitive)\n\
   --threads: execution policy for parallel regions (default auto; flag beats\n\
              the OMCF_THREADS env var). Output bytes never depend on it.\n\
-  --queue:   priority-queue discipline for oracle Dijkstras (default binary).\n\
-             Output bytes never depend on it either.\n\
-  --augment: length-update application in the solver engine (default\n\
-             batched). Bit-invisible too: per-edge float ops are identical.\n\
   --shards:  shards per scenario for the fleet artifact (default 4). Like\n\
              --threads, it is echoed in the run header; unlike --threads,\n\
              it changes the artifact (more shards = more overlays).\n\
@@ -295,20 +250,12 @@ fn main() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(cli.parallelism.effective_threads().get())
         .build_global();
-    // Pin the oracle queue discipline before any oracle is constructed
-    // (first set wins process-wide).
-    let _ = QueueKind::set_process_default(cli.queue);
-    // Pin the engine's augment-application mode before any solve. Every
-    // engine reads the default at construction.
-    AugmentMode::set_process_default(cli.augment);
     let t0 = std::time::Instant::now();
     omcf_telemetry::info!(
-        "# repro scale={:?} seed={} threads={} queue={} augment={} shards={} out={}\n",
+        "# repro scale={:?} seed={} threads={} shards={} out={}\n",
         cfg.scale,
         cfg.seed,
         cli.parallelism.label(),
-        cli.queue.name(),
-        cli.augment.name(),
         cli.shards,
         out.display()
     );

@@ -41,13 +41,6 @@ pub struct SweepConfig {
     pub scenarios: Vec<&'static ScenarioSpec>,
     /// Solvers to run on every instance.
     pub solvers: Vec<SolverKind>,
-    /// Deprecated on/off switch, kept for one release so downstream call
-    /// sites migrate cleanly. `false` forces serial execution regardless
-    /// of `parallelism`; `true` (the old and current default) defers to
-    /// `parallelism`. Output bytes are identical either way.
-    #[deprecated(note = "set `parallelism` instead; this bool only restricts \
-                         (`false` forces `Parallelism::Serial`)")]
-    pub parallel: bool,
     /// Execution policy for the cell solves (`Serial`, `Threads(n)`, or
     /// `Auto`). The CSV output is byte-identical under every policy.
     pub parallelism: Parallelism,
@@ -58,14 +51,12 @@ impl SweepConfig {
     /// large-scale (≥2k-node) families included — minutes of release-build
     /// compute; what `repro sweep` and the CI sweep job run.
     #[must_use]
-    #[allow(deprecated)]
     pub fn full(scale: Scale, seeds: Vec<u64>) -> Self {
         Self {
             scale,
             seeds,
             scenarios: registry::registry().iter().collect(),
             solvers: SolverKind::ALL.to_vec(),
-            parallel: true,
             parallelism: Parallelism::Auto,
         }
     }
@@ -94,19 +85,6 @@ impl SweepConfig {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// The policy the sweep actually runs under: `parallelism`, unless
-    /// the deprecated `parallel` bool was cleared (which forces serial —
-    /// the bool can only restrict, never widen).
-    #[must_use]
-    #[allow(deprecated)]
-    pub fn effective_parallelism(&self) -> Parallelism {
-        if self.parallel {
-            self.parallelism
-        } else {
-            Parallelism::Serial
-        }
     }
 }
 
@@ -277,7 +255,7 @@ impl SweepResults {
 
 /// Runs the sweep. Instances are built serially (they are deterministic in
 /// the master seed either way); cells solve under
-/// [`SweepConfig::effective_parallelism`], each against its own freshly
+/// [`SweepConfig::parallelism`], each against its own freshly
 /// built oracle, with dynamic-routing workspaces leased from one shared
 /// pool. The pool inherits the same policy, so per-cell member fan-outs
 /// join the sweep's workers instead of spawning their own.
@@ -296,7 +274,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     let cells: Vec<(usize, SolverKind)> =
         (0..instances.len()).flat_map(|ii| cfg.solvers.iter().map(move |&k| (ii, k))).collect();
 
-    let par = cfg.effective_parallelism();
+    let par = cfg.parallelism;
     let pool = Arc::new(WorkspacePool::new().with_parallelism(par));
     let solve_cell = |&(ii, kind): &(usize, SolverKind)| -> SweepRecord {
         let _span = omcf_telemetry::span("sweep.cell");
@@ -376,19 +354,6 @@ mod tests {
         assert_eq!(keys[1], ("ring-lattice".into(), 1, "m1"));
         assert_eq!(keys[2], ("ring-lattice".into(), 2, "online"));
         assert_eq!(keys[4], ("grid-lattice".into(), 1, "online"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_bool_forces_serial() {
-        let mut cfg = SweepConfig::full(Scale::Micro, vec![1]);
-        assert_eq!(cfg.effective_parallelism(), Parallelism::Auto);
-        cfg.parallel = false;
-        assert_eq!(cfg.effective_parallelism(), Parallelism::Serial);
-        // The bool cannot widen an explicit policy, only restrict it.
-        cfg.parallel = true;
-        cfg = cfg.with_parallelism(Parallelism::Serial);
-        assert_eq!(cfg.effective_parallelism(), Parallelism::Serial);
     }
 
     #[test]

@@ -42,18 +42,6 @@ fn sweep_csv_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_parallel_bool_still_forces_serial_execution() {
-    let mut cfg = SweepConfig::standard(Scale::Micro, vec![2004]).with_parallelism(threads(4));
-    cfg.parallel = false; // old API: bool wins by forcing serial
-    assert_eq!(cfg.effective_parallelism(), Parallelism::Serial);
-    let forced = run_sweep(&cfg);
-    cfg.parallel = true;
-    let parallel = run_sweep(&cfg);
-    assert_eq!(forced.to_csv(), parallel.to_csv(), "policy must never change output bytes");
-}
-
-#[test]
 fn heavy_scenarios_solve_online_and_deterministically() {
     // One cheap solver over the ≥2k-node scenarios: the online algorithm
     // does one oracle call per session, so even a debug build routes the

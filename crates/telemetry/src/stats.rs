@@ -19,12 +19,6 @@ pub static ENGINE_ORACLE_CALLS: Counter = Counter::new("engine.oracle.calls", Cl
 pub static ENGINE_AUGMENTS: Counter = Counter::new("engine.augment.count", Class::Count);
 /// Edge length multipliers written by augmentations.
 pub static ENGINE_AUGMENT_EDGES: Counter = Counter::new("engine.augment.edges", Class::Count);
-/// Pending length-update flushes (batched mode read barriers).
-pub static ENGINE_FLUSHES: Counter = Counter::new("engine.flush.count", Class::Count);
-/// Edges whose length was materialised by flushes.
-pub static ENGINE_FLUSH_EDGES: Counter = Counter::new("engine.flush.edges", Class::Count);
-/// Flushes that took the CSR sweep path (vs. the pointwise fallback).
-pub static ENGINE_FLUSH_SWEEPS: Counter = Counter::new("engine.flush.sweeps", Class::Count);
 /// Lazy epoch advances latched by augments and applied at the next read.
 pub static ENGINE_EPOCH_ADVANCES: Counter = Counter::new("engine.epoch.advances", Class::Count);
 /// M2 stop tests `D ≥ 1` (`Engine::dual_reached_one` calls).
@@ -62,21 +56,22 @@ pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Clas
 
 // --- routing (CSR Dijkstra + workspace pool, omcf-routing) ------------
 
-/// Dijkstra runs (single-source workspace runs and batched lanes).
+/// Dijkstra runs (one per workspace run).
 pub static ROUTING_DIJKSTRA_RUNS: Counter = Counter::new("routing.dijkstra.runs", Class::Count);
-/// Priority-queue pushes across all disciplines.
+/// Binary-heap pushes.
 pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Class::Count);
-/// Priority-queue pops (stale pops included).
+/// Binary-heap pops (stale pops included).
 pub static ROUTING_HEAP_POPS: Counter = Counter::new("routing.heap.pops", Class::Count);
 /// Arcs examined by settled-node relaxation scans.
 pub static ROUTING_RELAXATIONS: Counter = Counter::new("routing.relaxations", Class::Count);
-/// Workspace-pool leases (workspaces + batches + mirrors). Lease counts
+/// Workspace-pool leases (workspaces + mirrors). Lease counts
 /// are schedule-independent; *allocation* counts below are not.
 pub static ROUTING_POOL_LEASES: Counter = Counter::new("routing.pool.leases", Class::Count);
 /// Pool leases that had to allocate because the free list was empty —
 /// depends on thread interleaving, hence Wall class.
 pub static ROUTING_POOL_ALLOCS: Counter = Counter::new("routing.pool.allocs", Class::Wall);
-/// Arc-mirror gathers (`fill_arc_lengths` sweeps feeding batched runs).
+/// Arc-mirror gathers (`fill_arc_lengths` sweeps, one per dynamic-oracle
+/// query that computes a fan).
 pub static ROUTING_MIRROR_GATHERS: Counter = Counter::new("routing.mirror.gathers", Class::Count);
 /// Arcs copied by those gathers.
 pub static ROUTING_MIRROR_ARCS: Counter = Counter::new("routing.mirror.arcs", Class::Count);

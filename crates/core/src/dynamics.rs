@@ -1,20 +1,34 @@
-//! Long-running online system with session joins **and leaves**.
+//! The online algorithm's join/leave core: a long-running system with
+//! session joins **and leaves**.
 //!
 //! The paper motivates the online algorithm with "new sessions may join
 //! and existing sessions may terminate over time" (§I) but only evaluates
-//! arrivals. [`OnlineSystem`] completes the picture: it maintains the
-//! exponential link lengths incrementally, and because every arrival's
-//! contribution to a length is an exact multiplicative factor
-//! `(1 + ρ·n_e(t)·dem/c_e)`, a departure can be rolled back *exactly*: the
-//! affected edges are recomputed from their base value `1/c_e` by
-//! replaying the surviving sessions' factors in admission order
-//! ([`crate::engine::replay_edge`] — the same primitive
-//! `omcf-runtime`'s event loop uses). Replaying instead of dividing
-//! matters: `(x·f)/f` is not bit-exact in IEEE-754, while the replayed
-//! product is the identical float-op sequence a run that never admitted
-//! the departed session would have executed, so restored lengths and
-//! loads are bit-identical to that counterfactual trajectory (see
-//! `docs/RUNTIME.md`).
+//! arrivals. [`OnlineSystem`] completes the picture, and it is the one
+//! implementation of that loop: [`crate::solver::OnlineSolver`] replays
+//! churn traces through it, and `omcf-runtime`'s `Runtime` layers events,
+//! checkpoints and snapshots on top of it.
+//!
+//! The live state is the engine's own [`EngineState`] (lengths at the
+//! Table VI initialization `d_e = 1/c_e`, load table, flow store, epoch
+//! clock, counters):
+//!
+//! * [`OnlineSystem::join`] lends it to a short-lived [`Engine`]
+//!   (`Engine::resume` → `min_tree` → `augment` → `suspend`) with a fresh
+//!   single-session oracle, so an arrival is the batch solver's own
+//!   augmentation step: one oracle call, the same float-op sequence.
+//! * [`OnlineSystem::leave`] rolls the departed session back *exactly*
+//!   through [`EngineState::rollback`]: every edge its tree crossed is
+//!   recomputed from the base `1/c_e` by replaying the surviving
+//!   sessions' factors in admission order
+//!   ([`crate::engine::replay_edge`]). Replaying instead of dividing
+//!   matters: `(x·f)/f` is not bit-exact in IEEE-754, while the replayed
+//!   product is the identical float-op sequence a run that never admitted
+//!   the departed session would have executed, so restored lengths and
+//!   loads are bit-identical to that counterfactual trajectory (see
+//!   `docs/RUNTIME.md`).
+//! * [`OnlineSystem::rescale_capacities`] applies link reconfiguration:
+//!   trees stay pinned while the affected edges' base lengths and
+//!   per-session charges are re-derived exactly from the new capacities.
 //!
 //! Rates are assigned as in Table VI: session `i` gets
 //! `dem(i)/max(1, l_max^i)` where `l_max^i` is the current maximum
@@ -25,189 +39,321 @@
 //! [`crate::online::online_min_congestion`] is recovered by dividing by
 //! `l_max^i` directly, exposed as [`OnlineSystem::saturating_rates`].)
 
-use omcf_overlay::{DynamicOracle, FixedIpOracle};
-use omcf_overlay::{OverlayTree, Session, SessionSet, TreeOracle};
-use omcf_topology::Graph;
+use crate::engine::{Contribution, Engine, EngineState, LengthGrowth};
+use crate::lengths::ScaledLengths;
+use crate::solver::RoutingMode;
+use omcf_overlay::{
+    DynamicOracle, FixedIpOracle, OverlayTree, Session, SessionSet, TreeOracle, TreeStore,
+};
+use omcf_telemetry::stats;
+use omcf_topology::{EdgeId, Graph, GraphBuilder};
+use std::sync::Arc;
 
-/// Identifier of a live session inside an [`OnlineSystem`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct LiveId(u64);
-
-/// Routing regime for new arrivals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinRouting {
-    /// Overlay hops ride frozen IP shortest paths.
-    FixedIp,
-    /// Overlay hops take the shortest path under the live lengths (§V).
-    Arbitrary,
-}
-
-struct Live {
-    id: LiveId,
+/// One entry of the admission log: a session ever admitted, the tree it
+/// was routed on, and whether it is still live. An entry's position in
+/// the log is the session's join index. The fields stay private because
+/// the rollback charge is derived from the tree and the demand.
+#[derive(Clone, Debug)]
+pub struct Admitted {
     session: Session,
     tree: OverlayTree,
-    /// `(edge index, multiplicity)` of the tree's embedding.
-    edges: Vec<(usize, u32)>,
+    alive: bool,
+    contribution: Contribution,
 }
 
-/// A continuously running overlay network accepting joins and leaves.
+impl Admitted {
+    /// A log entry for `session` routed on `tree`.
+    #[must_use]
+    pub fn new(session: Session, tree: OverlayTree, alive: bool) -> Self {
+        let contribution =
+            Contribution { edges: tree.edge_multiplicities(), amount: session.demand };
+        Self { session, tree, alive, contribution }
+    }
+
+    /// The admitted session.
+    #[must_use]
+    pub fn session(&self) -> &Session {
+        &self.session
+    }
+
+    /// The tree it was routed on (`tree.session` is the join index).
+    #[must_use]
+    pub fn tree(&self) -> &OverlayTree {
+        &self.tree
+    }
+
+    /// Whether the session is still live.
+    #[must_use]
+    pub fn alive(&self) -> bool {
+        self.alive
+    }
+}
+
+/// A continuously running overlay network accepting joins and leaves,
+/// keyed by join index.
 ///
 /// ```
-/// use omcf_core::{JoinRouting, OnlineSystem};
+/// use omcf_core::solver::RoutingMode;
+/// use omcf_core::OnlineSystem;
 /// use omcf_overlay::Session;
 /// use omcf_topology::{canned, NodeId};
 ///
 /// let g = canned::grid(4, 4, 10.0);
-/// let mut sys = OnlineSystem::new(&g, 25.0, JoinRouting::FixedIp);
-/// let id = sys.join(Session::new(vec![NodeId(0), NodeId(15)], 1.0));
-/// assert_eq!(sys.live_count(), 1);
-/// assert!(sys.leave(id));
-/// assert_eq!(sys.live_count(), 0);
+/// let mut sys = OnlineSystem::new(g, 25.0, RoutingMode::FixedIp);
+/// let a = sys.join(Session::new(vec![NodeId(0), NodeId(15)], 1.0));
+/// let before = sys.lengths().to_vec();
+/// let b = sys.join(Session::new(vec![NodeId(3), NodeId(12)], 1.0));
+/// assert!(sys.leave(b));
+/// // b's contribution is rolled back exactly: state is bit-identical to
+/// // the moment only `a` was live.
+/// assert_eq!(sys.lengths(), before.as_slice());
+/// assert_eq!(sys.live_joins(), vec![a]);
 /// ```
+#[derive(Debug)]
 pub struct OnlineSystem {
-    g: Graph,
+    graph: Arc<Graph>,
     rho: f64,
-    routing: JoinRouting,
-    lengths: Vec<f64>,
-    load: Vec<f64>,
-    live: Vec<Live>,
-    next_id: u64,
+    routing: RoutingMode,
+    state: EngineState,
+    admitted: Vec<Admitted>,
 }
 
 impl OnlineSystem {
-    /// Creates an empty system with step size `rho` over graph `g`.
+    /// An empty system with step size `rho` over graph `g`.
     #[must_use]
-    pub fn new(g: &Graph, rho: f64, routing: JoinRouting) -> Self {
-        assert!(rho > 0.0 && rho.is_finite());
-        let lengths = g.edge_ids().map(|e| 1.0 / g.capacity(e)).collect();
-        Self {
-            g: g.clone(),
-            rho,
-            routing,
-            lengths,
-            load: vec![0.0; g.edge_count()],
-            live: Vec::new(),
-            next_id: 0,
+    pub fn new(g: impl Into<Arc<Graph>>, rho: f64, routing: RoutingMode) -> Self {
+        assert!(rho > 0.0 && rho.is_finite(), "step size must be positive");
+        let graph = g.into();
+        let state = EngineState::online(&graph);
+        Self { graph, rho, routing, state, admitted: Vec::new() }
+    }
+
+    /// Reassembles a system from persisted parts: `state` carries the
+    /// lengths, loads and counters, `log` the admission log in join
+    /// order. The flow store is rebuilt from the live trees at their
+    /// demands, bit-identical to the one the original accumulated (flows
+    /// are never mutated in place), and the epoch clock is `state`'s.
+    /// The caller validates the parts.
+    #[must_use]
+    pub fn restore(
+        g: impl Into<Arc<Graph>>,
+        rho: f64,
+        routing: RoutingMode,
+        mut state: EngineState,
+        log: Vec<Admitted>,
+    ) -> Self {
+        assert!(rho > 0.0 && rho.is_finite(), "step size must be positive");
+        state.store = TreeStore::new(0);
+        for a in &log {
+            state.store.push_session();
+            if a.alive {
+                state.store.add(a.tree.clone(), a.session.demand);
+            }
         }
+        Self { graph: g.into(), rho, routing, state, admitted: log }
+    }
+
+    /// Admits a session: one oracle query under the live lengths, one
+    /// augmentation charging its tree. Returns the session's join index.
+    pub fn join(&mut self, session: Session) -> usize {
+        let slot = self.state.store.push_session();
+        debug_assert_eq!(slot, self.admitted.len(), "store slots track admissions");
+        let set = SessionSet::new(vec![session.clone()]);
+        let oracle: Box<dyn TreeOracle> = match self.routing {
+            RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &set)),
+            RoutingMode::Arbitrary => Box::new(DynamicOracle::new(&self.graph, &set)),
+        };
+        let state = std::mem::replace(&mut self.state, placeholder_state());
+        let mut engine = Engine::resume(
+            &self.graph,
+            oracle.as_ref(),
+            LengthGrowth::Online { rho: self.rho },
+            state,
+        );
+        let mut tree = engine.min_tree(0);
+        tree.session = slot;
+        let edges = engine.augment(tree.clone(), session.demand);
+        self.state = engine.suspend();
+        let contribution = Contribution { edges, amount: session.demand };
+        self.admitted.push(Admitted { session, tree, alive: true, contribution });
+        slot
+    }
+
+    /// Removes the session admitted as join `join_idx`, rolling its
+    /// contribution back exactly. Returns `false` if the index is unknown
+    /// or the session already left.
+    pub fn leave(&mut self, join_idx: usize) -> bool {
+        match self.admitted.get_mut(join_idx) {
+            Some(a) if a.alive => a.alive = false,
+            _ => return false,
+        }
+        let departed = &self.admitted[join_idx].contribution;
+        let survivors: Vec<&Contribution> =
+            self.admitted.iter().filter(|a| a.alive).map(|a| &a.contribution).collect();
+        stats::RUNTIME_ROLLBACK_EDGES.add(departed.edges.len() as u64);
+        self.state.rollback(&self.graph, self.rho, join_idx, departed, &survivors);
+        true
+    }
+
+    /// Multiplies each listed edge's capacity by its factor and re-derives
+    /// the affected lengths and loads exactly from the new capacities —
+    /// live trees stay pinned (sessions are not re-routed mid-flight).
+    /// Duplicate edges compose multiplicatively. Because a capacity
+    /// increase *shrinks* `1/c_e`, the epoch clock is fully invalidated.
+    /// Panics on an edge outside the graph or a non-positive factor.
+    pub fn rescale_capacities(&mut self, factors: &[(EdgeId, f64)]) {
+        if factors.is_empty() {
+            return;
+        }
+        let mut caps: Vec<f64> = self.graph.edge_ids().map(|e| self.graph.capacity(e)).collect();
+        for &(e, f) in factors {
+            assert!(f > 0.0 && f.is_finite(), "capacity factor must be positive");
+            caps[e.idx()] *= f;
+        }
+        let mut b = GraphBuilder::new(self.graph.node_count());
+        for node in self.graph.nodes() {
+            let (x, y) = self.graph.position(node);
+            b.set_position(node, x, y);
+        }
+        for e in self.graph.edge_ids() {
+            let edge = self.graph.edge(e);
+            b.add_edge(edge.u, edge.v, caps[e.idx()]);
+        }
+        self.graph = Arc::new(b.finish());
+
+        let mut edges: Vec<EdgeId> = factors.iter().map(|&(e, _)| e).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let live: Vec<&Contribution> =
+            self.admitted.iter().filter(|a| a.alive).map(|a| &a.contribution).collect();
+        stats::RUNTIME_ROLLBACK_EDGES.add(edges.len() as u64);
+        self.state.replay_edges(&self.graph, self.rho, &edges, &live);
+        self.state.epochs.invalidate_all();
     }
 
     /// Number of live sessions.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.live().count()
     }
 
-    /// Admits a session: routes it on the minimum overlay spanning tree
-    /// under the current lengths and charges the links. Returns its id.
-    pub fn join(&mut self, session: Session) -> LiveId {
-        let set = SessionSet::new(vec![session.clone()]);
-        let tree = match self.routing {
-            JoinRouting::FixedIp => FixedIpOracle::new(&self.g, &set).min_tree(0, &self.lengths),
-            JoinRouting::Arbitrary => DynamicOracle::new(&self.g, &set).min_tree(0, &self.lengths),
-        };
-        let edges: Vec<(usize, u32)> =
-            tree.edge_multiplicities().into_iter().map(|(e, n)| (e.idx(), n)).collect();
-        for &(e, n) in &edges {
-            let add =
-                f64::from(n) * session.demand / self.g.capacity(omcf_topology::EdgeId(e as u32));
-            self.load[e] += add;
-            self.lengths[e] *= 1.0 + self.rho * add;
-            assert!(self.lengths[e].is_finite(), "length overflow; lower rho");
-        }
-        let id = LiveId(self.next_id);
-        self.next_id += 1;
-        self.live.push(Live { id, session, tree, edges });
-        id
-    }
-
-    /// Removes a session, exactly rolling back its length factors and
-    /// load contributions: every edge its tree crossed is recomputed from
-    /// the base `1/c_e` by replaying the surviving sessions' factors in
-    /// admission order, so the restored state is bit-identical to a run
-    /// that admitted only the survivors with the same trees. Returns
-    /// `false` if the id is unknown (already left).
-    pub fn leave(&mut self, id: LiveId) -> bool {
-        let Some(pos) = self.live.iter().position(|l| l.id == id) else {
-            return false;
-        };
-        // `remove`, not `swap_remove`: `live` must stay in admission order
-        // for the replay below to be the exact float-op sequence of a
-        // fresh run.
-        let departed = self.live.remove(pos);
-        for &(e, _) in &departed.edges {
-            let cap = self.g.capacity(omcf_topology::EdgeId(e as u32));
-            let adds = self.live.iter().filter_map(|l| {
-                let k = l.edges.binary_search_by_key(&e, |p| p.0).ok()?;
-                Some(f64::from(l.edges[k].1) * l.session.demand / cap)
-            });
-            let (load, length) = crate::engine::replay_edge(1.0 / cap, self.rho, adds);
-            self.load[e] = load;
-            self.lengths[e] = length;
-        }
-        true
-    }
-
-    /// The tree a live session is using.
+    /// Join indices of the live sessions, in admission order.
     #[must_use]
-    pub fn tree_of(&self, id: LiveId) -> Option<&OverlayTree> {
-        self.live.iter().find(|l| l.id == id).map(|l| &l.tree)
+    pub fn live_joins(&self) -> Vec<usize> {
+        self.live().map(|(i, _)| i).collect()
     }
 
-    /// Current maximum congestion indicator `l_max^i` of a live session.
+    /// The admission log: every session ever admitted, in join order.
     #[must_use]
-    pub fn l_max(&self, id: LiveId) -> Option<f64> {
-        let live = self.live.iter().find(|l| l.id == id)?;
-        Some(live.edges.iter().map(|&(e, _)| self.load[e]).fold(0.0, f64::max))
+    pub fn admitted(&self) -> &[Admitted] {
+        &self.admitted
     }
 
-    /// Demand-capped feasible rates: `dem / max(1, l_max)` per live
-    /// session, in join order.
+    /// Capacity-saturating rates `dem / l_max^i` per live session
+    /// (Table VI scaling, which can exceed demand on an idle network),
+    /// keyed by join index, in admission order.
     #[must_use]
-    pub fn rates(&self) -> Vec<(LiveId, f64)> {
-        self.live
-            .iter()
-            .map(|l| {
-                let lm = l.edges.iter().map(|&(e, _)| self.load[e]).fold(0.0, f64::max);
-                (l.id, l.session.demand / lm.max(1.0))
+    pub fn saturating_rates(&self) -> Vec<(usize, f64)> {
+        self.live()
+            .map(|(i, a)| {
+                let lm = self.l_max_of(a);
+                let rate = if lm > 0.0 { a.session.demand / lm } else { a.session.demand };
+                (i, rate)
             })
             .collect()
     }
 
-    /// Capacity-saturating rates `dem / l_max` (the paper's Table VI
-    /// scaling, which can exceed demand on an idle network).
+    /// Demand-capped feasible rates `dem / max(1, l_max^i)` per live
+    /// session (a live system grants no more than what was asked).
     #[must_use]
-    pub fn saturating_rates(&self) -> Vec<(LiveId, f64)> {
-        self.live
-            .iter()
-            .map(|l| {
-                let lm = l.edges.iter().map(|&(e, _)| self.load[e]).fold(0.0, f64::max);
-                let rate = if lm > 0.0 { l.session.demand / lm } else { l.session.demand };
-                (l.id, rate)
-            })
-            .collect()
+    pub fn rates(&self) -> Vec<(usize, f64)> {
+        self.live().map(|(i, a)| (i, a.session.demand / self.l_max_of(a).max(1.0))).collect()
     }
 
-    /// Current per-edge lengths (test/diagnostic access).
+    fn live(&self) -> impl Iterator<Item = (usize, &Admitted)> {
+        self.admitted.iter().enumerate().filter(|(_, a)| a.alive)
+    }
+
+    fn l_max_of(&self, a: &Admitted) -> f64 {
+        a.contribution.edges.iter().map(|&(e, _)| self.state.load[e.idx()]).fold(0.0, f64::max)
+    }
+
+    /// The congestion at full demands, `max_e load_e` (0 when idle).
+    #[must_use]
+    pub fn max_load(&self) -> f64 {
+        self.state.load.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// The live session's current tree, if it is live.
+    #[must_use]
+    pub fn tree_of(&self, join_idx: usize) -> Option<&OverlayTree> {
+        self.admitted.get(join_idx).filter(|a| a.alive).map(|a| &a.tree)
+    }
+
+    /// The feasible scaled allocation of the live population: one store
+    /// slot per live session in admission order, each holding its tree at
+    /// its saturating rate — the shape the batch online solver reports
+    /// for a churn trace's survivors.
+    #[must_use]
+    pub fn scaled_store(&self) -> TreeStore {
+        let rates = self.saturating_rates();
+        let mut store = TreeStore::new(rates.len());
+        for (slot, &(join_idx, rate)) in rates.iter().enumerate() {
+            let mut tree = self.admitted[join_idx].tree.clone();
+            tree.session = slot;
+            store.add(tree, rate);
+        }
+        store
+    }
+
+    /// Live per-edge lengths.
     #[must_use]
     pub fn lengths(&self) -> &[f64] {
-        &self.lengths
+        self.state.lengths.stored()
     }
 
-    /// Current maximum link congestion of the *scaled* allocation from
-    /// [`Self::rates`]: guaranteed ≤ 1.
+    /// Live per-edge load (congestion at full demands).
     #[must_use]
-    pub fn max_scaled_congestion(&self) -> f64 {
-        let rates: std::collections::HashMap<LiveId, f64> = self.rates().into_iter().collect();
-        let mut per_edge = vec![0.0f64; self.g.edge_count()];
-        for l in &self.live {
-            let scale = rates[&l.id] / l.session.demand;
-            for &(e, n) in &l.edges {
-                per_edge[e] += scale * f64::from(n) * l.session.demand
-                    / self.g.capacity(omcf_topology::EdgeId(e as u32));
-            }
-        }
-        per_edge.into_iter().fold(0.0, f64::max)
+    pub fn load(&self) -> &[f64] {
+        &self.state.load
     }
+
+    /// The live engine state (lengths, loads, flow store, counters).
+    #[must_use]
+    pub fn state(&self) -> &EngineState {
+        &self.state
+    }
+
+    /// The current physical topology (capacity changes swap the `Arc`).
+    #[must_use]
+    pub fn graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
+    /// Online step size ρ.
+    #[must_use]
+    pub fn rho(&self) -> f64 {
+        self.rho
+    }
+
+    /// Routing regime for arrivals.
+    #[must_use]
+    pub fn routing(&self) -> RoutingMode {
+        self.routing
+    }
+
+    /// Oracle calls so far (one per join).
+    #[must_use]
+    pub fn mst_ops(&self) -> u64 {
+        self.state.mst_ops
+    }
+}
+
+/// A zero-cost stand-in for the `mem::replace` dance that lends the
+/// persistent state to a short-lived [`Engine`] (which takes it by
+/// value). Never resumed against a real graph.
+fn placeholder_state() -> EngineState {
+    EngineState::fresh(ScaledLengths::raw(&[1.0]), 1, 0)
 }
 
 #[cfg(test)]
@@ -220,93 +366,37 @@ mod tests {
     }
 
     #[test]
-    fn join_then_leave_restores_lengths_bit_exactly() {
+    fn join_then_leave_restores_the_state_bit_exactly() {
         let g = canned::grid(4, 4, 10.0);
-        let mut sys = OnlineSystem::new(&g, 25.0, JoinRouting::FixedIp);
+        let mut sys = OnlineSystem::new(g, 25.0, RoutingMode::FixedIp);
         let initial = sys.lengths().to_vec();
         let id = sys.join(two_party(0, 15));
+        assert_eq!(sys.live_count(), 1);
         assert_ne!(sys.lengths(), initial.as_slice());
+        assert!(sys.max_load() > 0.0);
         assert!(sys.leave(id));
+        assert_eq!(sys.live_count(), 0);
         for (a, b) in sys.lengths().iter().zip(&initial) {
             assert_eq!(a.to_bits(), b.to_bits(), "length not restored: {a} vs {b}");
         }
-        assert_eq!(sys.live_count(), 0);
+        assert!(sys.load().iter().all(|l| *l == 0.0));
     }
 
     #[test]
-    fn interleaved_leave_matches_counterfactual_run_bit_exactly() {
-        // a, b, c join; b leaves. Because 2-member fixed-IP sessions route
-        // independently of the lengths, state must equal a run that only
-        // ever admitted a and c — bit for bit.
-        let g = canned::grid(4, 4, 10.0);
-        let mut sys = OnlineSystem::new(&g, 25.0, JoinRouting::FixedIp);
-        let _a = sys.join(two_party(0, 15));
-        let b = sys.join(two_party(3, 12));
-        let _c = sys.join(two_party(1, 14));
-        assert!(sys.leave(b));
-
-        let mut fresh = OnlineSystem::new(&g, 25.0, JoinRouting::FixedIp);
-        let _ = fresh.join(two_party(0, 15));
-        let _ = fresh.join(two_party(1, 14));
-        for (a, b) in sys.lengths().iter().zip(fresh.lengths()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "rollback diverges from counterfactual");
-        }
-        let rates: Vec<f64> = sys.saturating_rates().iter().map(|&(_, r)| r).collect();
-        let fresh_rates: Vec<f64> = fresh.saturating_rates().iter().map(|&(_, r)| r).collect();
-        assert_eq!(rates.len(), fresh_rates.len());
-        for (a, b) in rates.iter().zip(&fresh_rates) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn departures_free_capacity_for_newcomers() {
-        // Theta graph, arbitrary routing: with sessions on all three paths,
-        // a newcomer shares; after one leaves, the newcomer's l_max drops.
-        let g = canned::theta(4.0);
-        let mut sys = OnlineSystem::new(&g, 50.0, JoinRouting::Arbitrary);
-        let a = sys.join(two_party(0, 4));
-        let b = sys.join(two_party(0, 4));
-        let c = sys.join(two_party(0, 4));
-        // Three sessions, three disjoint paths: all have l_max = 1/4.
-        for id in [a, b, c] {
-            assert!((sys.l_max(id).unwrap() - 0.25).abs() < 1e-12);
-        }
-        let d = sys.join(two_party(0, 4)); // must share a path: l_max doubles
-        assert!((sys.l_max(d).unwrap() - 0.5).abs() < 1e-12);
-        sys.leave(a);
-        // d's path may still be shared, but total load dropped.
-        assert!(sys.l_max(d).unwrap() <= 0.5 + 1e-12);
-        let e = sys.join(two_party(0, 4)); // takes the freed path
-        let _ = e;
-        assert_eq!(sys.live_count(), 4);
-        assert!(sys.max_scaled_congestion() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn rates_capped_at_demand() {
-        let g = canned::path(3, 100.0);
-        let mut sys = OnlineSystem::new(&g, 10.0, JoinRouting::FixedIp);
-        let id = sys.join(two_party(0, 2));
-        let rates = sys.rates();
-        assert_eq!(rates, vec![(id, 1.0)], "idle network: rate = demand");
-        let sat = sys.saturating_rates();
-        assert!((sat[0].1 - 100.0).abs() < 1e-9, "saturating rate fills the link");
-    }
-
-    #[test]
-    fn leave_unknown_id_is_noop() {
+    fn unknown_or_second_leave_returns_false() {
         let g = canned::path(3, 1.0);
-        let mut sys = OnlineSystem::new(&g, 10.0, JoinRouting::FixedIp);
+        let mut sys = OnlineSystem::new(g, 10.0, RoutingMode::FixedIp);
+        assert!(!sys.leave(0), "nothing admitted yet");
         let id = sys.join(two_party(0, 2));
+        assert!(!sys.leave(id + 1), "unknown join index");
         assert!(sys.leave(id));
         assert!(!sys.leave(id), "second leave must report failure");
     }
 
     #[test]
-    fn interleaved_churn_stays_feasible() {
+    fn scaled_store_of_a_churned_population_is_feasible() {
         let g = canned::grid(5, 5, 5.0);
-        let mut sys = OnlineSystem::new(&g, 30.0, JoinRouting::FixedIp);
+        let mut sys = OnlineSystem::new(g.clone(), 30.0, RoutingMode::FixedIp);
         let mut ids = Vec::new();
         for round in 0..30u32 {
             let a = round % 25;
@@ -315,13 +405,84 @@ mod tests {
                 ids.push(sys.join(two_party(a, b)));
             }
             if round % 3 == 2 {
-                let id = ids.remove(0);
-                assert!(sys.leave(id));
+                assert!(sys.leave(ids.remove(0)));
             }
         }
-        assert!(sys.max_scaled_congestion() <= 1.0 + 1e-9);
+        let store = sys.scaled_store();
+        store.assert_feasible(&g, 1e-9);
+        assert_eq!(store.session_count(), sys.live_count());
         assert_eq!(sys.live_count(), ids.len());
         // All lengths stay positive and finite through churn.
         assert!(sys.lengths().iter().all(|l| *l > 0.0 && l.is_finite()));
+    }
+
+    #[test]
+    fn departures_free_capacity_for_newcomers() {
+        // Theta graph, arbitrary routing: with sessions on all three paths,
+        // a newcomer shares; after one leaves, the newcomer's l_max drops.
+        let g = canned::theta(4.0);
+        let mut sys = OnlineSystem::new(g.clone(), 50.0, RoutingMode::Arbitrary);
+        let l_max = |sys: &OnlineSystem, id: usize| {
+            let (_, rate) = sys.saturating_rates().into_iter().find(|&(i, _)| i == id).unwrap();
+            1.0 / rate
+        };
+        let a = sys.join(two_party(0, 4));
+        let b = sys.join(two_party(0, 4));
+        let c = sys.join(two_party(0, 4));
+        // Three sessions, three disjoint paths: all have l_max = 1/4.
+        for id in [a, b, c] {
+            assert!((l_max(&sys, id) - 0.25).abs() < 1e-12);
+        }
+        let d = sys.join(two_party(0, 4)); // must share a path: l_max doubles
+        assert!((l_max(&sys, d) - 0.5).abs() < 1e-12);
+        sys.leave(a);
+        // d's path may still be shared, but total load dropped.
+        assert!(l_max(&sys, d) <= 0.5 + 1e-12);
+        let _e = sys.join(two_party(0, 4)); // takes the freed path
+        assert_eq!(sys.live_count(), 4);
+        sys.scaled_store().assert_feasible(&g, 1e-9);
+    }
+
+    #[test]
+    fn rates_capped_at_demand() {
+        let g = canned::path(3, 100.0);
+        let mut sys = OnlineSystem::new(g, 10.0, RoutingMode::FixedIp);
+        let id = sys.join(two_party(0, 2));
+        let rates = sys.rates();
+        assert_eq!(rates, vec![(id, 1.0)], "idle network: rate = demand");
+        let sat = sys.saturating_rates();
+        assert!((sat[0].1 - 100.0).abs() < 1e-9, "saturating rate fills the link");
+    }
+
+    #[test]
+    fn capacity_change_rederives_affected_edges_exactly() {
+        // A session on a path, then double the capacity of its first edge:
+        // load and length on that edge must equal a fresh run against the
+        // rescaled graph (same pinned route), bit for bit.
+        let g = canned::path(3, 10.0);
+        let mut sys = OnlineSystem::new(g, 25.0, RoutingMode::FixedIp);
+        let _ = sys.join(two_party(0, 2));
+        sys.rescale_capacities(&[(EdgeId(0), 2.0)]);
+        assert_eq!(sys.graph().capacity(EdgeId(0)), 20.0);
+        assert_eq!(sys.graph().capacity(EdgeId(1)), 10.0);
+
+        let scaled = {
+            let mut b = GraphBuilder::new(3);
+            b.add_edge(NodeId(0), NodeId(1), 20.0);
+            b.add_edge(NodeId(1), NodeId(2), 10.0);
+            b.finish()
+        };
+        let mut fresh = OnlineSystem::new(scaled, 25.0, RoutingMode::FixedIp);
+        let _ = fresh.join(two_party(0, 2));
+        for (a, b) in sys.lengths().iter().zip(fresh.lengths()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in sys.load().iter().zip(fresh.load()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // The untouched edge is now the bottleneck: saturating rate = 10.
+        let rates = sys.saturating_rates();
+        assert_eq!(rates.len(), 1);
+        assert!((rates[0].1 - 10.0).abs() < 1e-9, "rate {}", rates[0].1);
     }
 }

@@ -75,10 +75,10 @@ impl Contribution {
 /// its base value: folds `load += add; length *= 1 + ρ·add` over `adds`
 /// in order, exactly the float-op sequence [`Engine::augment`] performs
 /// incrementally. Every exact-rollback path in the workspace
-/// ([`EngineState::rollback`], [`crate::OnlineSystem::leave`]) goes
-/// through this single function, so an edge recomputed after a departure
-/// is bit-identical to one that accumulated only the surviving
-/// contributions in the first place.
+/// ([`EngineState::rollback`] for departures, [`EngineState::replay_edges`]
+/// for capacity changes) goes through this single function, so an edge
+/// recomputed after a departure is bit-identical to one that accumulated
+/// only the surviving contributions in the first place.
 #[must_use]
 pub fn replay_edge(base: f64, rho: f64, adds: impl Iterator<Item = f64>) -> (f64, f64) {
     let mut load = 0.0;
@@ -176,12 +176,13 @@ pub struct EngineRun {
 }
 
 /// The engine's detachable mutable state: length store, epoch clock,
-/// load table, flow store and counters. A batch solver never sees this
+/// load table, flow store and counters. A solver policy never sees this
 /// type — [`Engine::new`] builds one internally and [`Engine::finish`]
-/// consumes it — but an event-driven runtime keeps an `EngineState` alive
-/// across events, re-attaching it to a short-lived [`Engine`] per event
-/// via [`Engine::resume`] / [`Engine::suspend`] (the warm-start hooks)
-/// and rolling departures back through [`Self::rollback`].
+/// consumes it — but [`crate::OnlineSystem`], the join/leave core behind
+/// both the churn solver and `omcf-runtime`, keeps an `EngineState` alive
+/// across joins and leaves, re-attaching it to a short-lived [`Engine`]
+/// per join via [`Engine::resume`] / [`Engine::suspend`] (the warm-start
+/// hooks) and rolling departures back through [`Self::rollback`].
 #[derive(Debug)]
 pub struct EngineState {
     /// Live per-edge lengths.

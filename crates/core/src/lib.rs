@@ -38,7 +38,7 @@ pub mod rounding;
 pub mod solution;
 pub mod solver;
 
-pub use dynamics::{JoinRouting, LiveId, OnlineSystem};
+pub use dynamics::{Admitted, OnlineSystem};
 pub use engine::{replay_edge, Contribution, Engine, EngineRun, EngineState, LengthGrowth};
 pub use lengths::ScaledLengths;
 pub use m1::{max_flow, max_flow_subset, MaxFlowOutcome};

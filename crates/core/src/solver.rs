@@ -25,7 +25,7 @@
 //! }
 //! ```
 
-use crate::dynamics::{JoinRouting, OnlineSystem};
+use crate::dynamics::OnlineSystem;
 use crate::m1::max_flow;
 use crate::m1_fleischer::max_flow_fleischer;
 use crate::online::online_min_congestion;
@@ -55,15 +55,6 @@ impl RoutingMode {
         match self {
             Self::FixedIp => "fixed-ip",
             Self::Arbitrary => "arbitrary",
-        }
-    }
-}
-
-impl From<RoutingMode> for JoinRouting {
-    fn from(m: RoutingMode) -> Self {
-        match m {
-            RoutingMode::FixedIp => JoinRouting::FixedIp,
-            RoutingMode::Arbitrary => JoinRouting::Arbitrary,
         }
     }
 }
@@ -357,8 +348,9 @@ impl Solver for M2Solver {
 
 /// `Online-MinCongestion` adapter. On a static instance, sessions arrive
 /// in index order; on a churn instance, the full join/leave trace is
-/// replayed through [`OnlineSystem`] and the outcome reports the
-/// surviving population's end state (Table VI scaling: rate `dem/l_max`).
+/// replayed through [`OnlineSystem`], the join/leave core `omcf-runtime`
+/// also runs on, and the outcome reports the surviving population's end
+/// state (Table VI scaling: rate `dem/l_max`).
 pub struct OnlineSolver;
 
 impl Solver for OnlineSolver {
@@ -402,29 +394,23 @@ impl Solver for OnlineSolver {
     }
 }
 
-/// Replays a churn trace and summarizes the survivors' end state.
+/// Replays a churn trace through the [`OnlineSystem`] core and
+/// summarizes the survivors' end state.
 fn solve_churn(inst: &Instance, churn: &ChurnSchedule) -> SolverOutcome {
-    let mut sys = OnlineSystem::new(&inst.graph, inst.rho, inst.routing.into());
-    let mut ids = Vec::with_capacity(churn.join_count());
+    let mut sys = OnlineSystem::new(Arc::clone(&inst.graph), inst.rho, inst.routing);
     for ev in churn.events() {
         match ev {
-            ChurnEvent::Join(s) => ids.push(sys.join(s.clone())),
+            ChurnEvent::Join(s) => {
+                sys.join(s.clone());
+            }
             ChurnEvent::Leave(i) => {
-                let left = sys.leave(ids[*i]);
+                let left = sys.leave(*i);
                 debug_assert!(left, "validated schedule: session must be live");
             }
         }
     }
     // Table VI scaling against the live end-state loads: rate = dem/l_max.
-    let rates: std::collections::HashMap<_, _> = sys.saturating_rates().into_iter().collect();
-    let survivors = churn.survivor_joins();
-    let mut store = TreeStore::new(survivors.len());
-    for (slot, &join_idx) in survivors.iter().enumerate() {
-        let id = ids[join_idx];
-        let mut tree = sys.tree_of(id).expect("survivor is live").clone();
-        tree.session = slot;
-        store.add(tree, rates[&id]);
-    }
+    let store = sys.scaled_store();
     store.assert_feasible(&inst.graph, 1e-9);
     let summary = summarize(&store, &inst.sessions, &inst.graph);
     let objective = summary
@@ -439,7 +425,7 @@ fn solve_churn(inst: &Instance, churn: &ChurnSchedule) -> SolverOutcome {
         summary,
         objective,
         dual_bound: None,
-        mst_ops: churn.join_count() as u64,
+        mst_ops: sys.mst_ops(),
         mst_ops_prepass: 0,
         iterations: churn.events().len() as u64,
     }

@@ -6,13 +6,15 @@
 //! *long-running service*, not a batch run over a frozen trace. This
 //! crate is that missing layer between solver library and service:
 //!
-//! * [`Runtime`] owns warm solver state (the `omcf-core`
-//!   [`EngineState`](omcf_core::EngineState): lengths, loads, flow store,
-//!   epoch clock) and processes an ordered [`Event`] stream — `Join`,
-//!   `Leave`, `CapacityChange`, `Reoptimize` — **incrementally**. Leaves
-//!   roll the departed contribution back *exactly* (bit-identical to a
-//!   trajectory that never admitted the session with the same trees);
-//!   capacity changes re-derive only the affected edges.
+//! * [`Runtime`] processes an ordered [`Event`] stream — `Join`,
+//!   `Leave`, `CapacityChange`, `Reoptimize` — **incrementally** over
+//!   warm solver state. It is the event layer over `omcf-core`'s one
+//!   join/leave core, [`OnlineSystem`](omcf_core::OnlineSystem), which
+//!   owns the engine's [`EngineState`](omcf_core::EngineState) (lengths,
+//!   loads, flow store, epoch clock). Leaves roll the departed
+//!   contribution back *exactly* (bit-identical to a trajectory that
+//!   never admitted the session with the same trees); capacity changes
+//!   re-derive only the affected edges.
 //! * [`Reoptimizer`] periodically re-solves the live population with an
 //!   offline solver (any [`SolverKind`](omcf_core::SolverKind), via the
 //!   `Solver` trait) and reports the congestion **drift** — runtime
@@ -21,11 +23,8 @@
 //! * [`Runtime::snapshot_v2`](runtime::Runtime::snapshot_v2) /
 //!   [`Runtime::restore_v2`](runtime::Runtime::restore_v2) serialize the
 //!   whole state to a compact versioned binary blob with bit-exact
-//!   floats (`OMCFSNAP` v2), so replays resume across processes without
-//!   changing one output byte. The original v1 text format stays
-//!   readable and writable ([`Runtime::snapshot`] / [`Runtime::restore`]),
-//!   and [`Runtime::restore_bytes`](runtime::Runtime::restore_bytes)
-//!   sniffs the generation automatically.
+//!   floats (`OMCFSNAP` v2, the one snapshot format), so replays resume
+//!   across processes without changing one output byte.
 //! * [`Fleet`] scales the runtime to many independent overlays: sharded
 //!   event ingestion with per-shard ordering and bounded-queue
 //!   backpressure ([`Admission`]), concurrent drives under
@@ -35,12 +34,12 @@
 //!   reproduce the pre-crash state exactly, torn tail tolerated.
 //! * [`replay_churn`] drives a full [`ChurnSchedule`](omcf_overlay::ChurnSchedule)
 //!   through the runtime; its final rates are bit-identical to the batch
-//!   `OnlineSolver` run on the same trace (pinned by
-//!   `crates/sim/tests/replay.rs`), while costing one oracle call per
-//!   join instead of a from-scratch re-solve per event.
+//!   `OnlineSolver` run on the same trace (both drive `OnlineSystem`;
+//!   pinned by `crates/sim/tests/replay.rs`), while costing one oracle
+//!   call per join instead of a from-scratch re-solve per event.
 //!
 //! See `docs/RUNTIME.md` for the event model, the rollback contract and
-//! the snapshot formats, and `docs/FLEET.md` for the fleet's wire
+//! the snapshot format, and `docs/FLEET.md` for the fleet's wire
 //! formats and recovery procedure.
 //!
 //! ```
@@ -79,6 +78,6 @@ pub use fleet::{
 pub use reopt::{drift_csv, DriftSample, Reoptimizer};
 pub use replay::{replay, replay_churn, resume_replay, ReplayConfig, ReplayReport};
 pub use runtime::{Checkpoint, Runtime, RuntimeConfig};
-pub use snapshot::{SnapshotError, SNAPSHOT_V1_VERSION, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SNAPSHOT_VERSION};
 pub use snapshot_v2::SNAPSHOT_V2_MAGIC;
 pub use wal::{read_wal, TornTail, Wal, WalError, WalRecord, WAL_MAGIC};

@@ -242,9 +242,9 @@ mod tests {
         let mid = events.len() / 2;
         let rt = Runtime::new(g, RuntimeConfig::new(cfg.rho, cfg.routing));
         let (rt, first) = resume_replay(rt, &events[..mid], &cfg);
-        let snap = rt.snapshot();
+        let snap = rt.snapshot_v2();
         drop(rt);
-        let restored = Runtime::restore(&snap).expect("restore");
+        let restored = Runtime::restore_v2(&snap).expect("restore");
         let (_, second) = resume_replay(restored, &events[mid..], &cfg);
 
         let mut drift = first.drift.clone();

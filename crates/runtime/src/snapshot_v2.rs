@@ -1,11 +1,11 @@
-//! Snapshot format v2: compact binary, versioned, length-prefixed.
+//! Snapshot format v2, the runtime's one snapshot format: compact
+//! binary, versioned, length-prefixed.
 //!
-//! The v1 text format spends ~17 bytes per float and parses by line
-//! splitting; v2 stores the same `SnapshotImage` content in raw
-//! little-endian binary — 8 bytes per `f64` (its IEEE-754 bit pattern,
-//! so round-trips are bit-exact by construction), 4 bytes per index —
-//! behind a self-describing header. The full layout, byte by byte, is
-//! specified in `docs/FLEET.md`; the shape is:
+//! v2 stores the `SnapshotImage` content in raw little-endian binary —
+//! 8 bytes per `f64` (its IEEE-754 bit pattern, so round-trips are
+//! bit-exact by construction), 4 bytes per index — behind a
+//! self-describing header. The full layout, byte by byte, is specified in
+//! `docs/FLEET.md`; the shape is:
 //!
 //! ```text
 //! magic   8 bytes   "OMCFSNAP"
@@ -26,9 +26,9 @@
 //! blob with the wrong magic or version fails with a descriptive
 //! [`SnapshotError`] — never a panic and never a misparse.
 //!
-//! Decoding produces the same `SnapshotImage` the v1 parser produces,
-//! and the shared `SnapshotImage::assemble` performs all semantic
-//! validation — the two formats cannot drift in what they accept.
+//! Decoding is structural only; the shared `SnapshotImage::assemble`
+//! performs all semantic validation. The line-based v1 text format that
+//! preceded v2 is no longer read.
 
 use crate::binio::{ByteReader, ByteWriter, DecodeError};
 use crate::runtime::Runtime;
@@ -48,13 +48,6 @@ const TAG_END: u8 = 0xFF;
 
 const ROUTING_FIXED_IP: u8 = 0;
 const ROUTING_ARBITRARY: u8 = 1;
-
-/// Whether `bytes` leads with the v2 magic (the format sniff used by
-/// [`Runtime::restore_bytes`]).
-#[must_use]
-pub fn is_v2(bytes: &[u8]) -> bool {
-    bytes.len() >= SNAPSHOT_V2_MAGIC.len() && &bytes[..SNAPSHOT_V2_MAGIC.len()] == SNAPSHOT_V2_MAGIC
-}
 
 fn corrupt(e: DecodeError) -> SnapshotError {
     SnapshotError::CorruptBinary { offset: e.offset, what: e.what }
@@ -284,8 +277,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
 
 impl Runtime {
     /// Serializes the full runtime state to the compact binary v2
-    /// format. `snapshot_v2 → restore_bytes` is bit-identical, like the
-    /// v1 path, at roughly half the bytes and none of the text parsing.
+    /// format. `snapshot_v2 → restore_v2` is bit-identical.
     #[must_use]
     pub fn snapshot_v2(&self) -> Vec<u8> {
         let _span = omcf_telemetry::span("runtime.snapshot");
@@ -298,8 +290,15 @@ impl Runtime {
         bytes
     }
 
-    /// Restores a runtime from [`Self::snapshot_v2`] output. Prefer
-    /// [`Self::restore_bytes`], which accepts both formats.
+    /// Restores a runtime from [`Self::snapshot_v2`] output. The restored
+    /// state is bit-identical: lengths, loads, counters, admission log and
+    /// the reconstructed flow store all match the snapshotted runtime.
+    ///
+    /// Corruption is an `Err`, never a panic: beyond the structural
+    /// decode, every semantic invariant a flipped bit could violate is
+    /// checked by the shared `SnapshotImage::assemble`, so a service
+    /// restoring a persisted blob can handle a bad one instead of
+    /// aborting.
     pub fn restore_v2(bytes: &[u8]) -> Result<Runtime, SnapshotError> {
         let image = decode(bytes)?;
         image.assemble().map_err(|what| SnapshotError::CorruptBinary { offset: 0, what })
@@ -324,22 +323,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_is_bit_identical_and_smaller_than_v1() {
+    fn v2_roundtrip_is_bit_identical() {
         let rt = populated_runtime();
         let v2 = rt.snapshot_v2();
-        assert!(is_v2(&v2));
-        let restored = Runtime::restore_bytes(&v2).expect("restore v2");
+        assert_eq!(&v2[..SNAPSHOT_V2_MAGIC.len()], SNAPSHOT_V2_MAGIC);
+        let restored = Runtime::restore_v2(&v2).expect("restore v2");
         assert_eq!(restored.snapshot_v2(), v2, "v2 of a restore re-serializes identically");
-        assert_eq!(restored.snapshot(), rt.snapshot(), "agrees with the v1 view too");
-        let v1 = rt.snapshot();
-        // Hex text spends ~2 chars per payload byte plus labels; the
-        // binary framing must come in strictly under it.
-        assert!(
-            v2.len() < v1.len(),
-            "binary must be smaller than the text form ({} vs {})",
-            v2.len(),
-            v1.len()
-        );
+        assert_eq!(restored.live_count(), rt.live_count());
+        assert_eq!(restored.admitted().len(), rt.admitted().len());
+        assert_eq!(restored.events_processed(), rt.events_processed());
+        assert_eq!(restored.mst_ops(), rt.mst_ops());
+        for (a, b) in restored.lengths().iter().zip(rt.lengths()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in restored.load().iter().zip(rt.load()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let (ra, rb) = (restored.saturating_rates(), rt.saturating_rates());
+        assert_eq!(ra.len(), rb.len());
+        for ((ia, va), (ib, vb)) in ra.iter().zip(&rb) {
+            assert_eq!(ia, ib);
+            assert_eq!(va.to_bits(), vb.to_bits());
+        }
     }
 
     #[test]
@@ -347,21 +352,54 @@ mod tests {
         let rt = populated_runtime();
         let mut v2 = rt.snapshot_v2();
         v2[8] = 99; // version word LE low byte
-        let err = Runtime::restore_bytes(&v2).unwrap_err();
+        let err = Runtime::restore_v2(&v2).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedVersion(_)), "{err}");
         assert!(err.to_string().contains("v99"), "{err}");
+        for garbage in [&b"not a snapshot"[..], b"omcf-runtime-snapshot v1\n"] {
+            let err = Runtime::restore_v2(garbage).unwrap_err();
+            assert!(matches!(err, SnapshotError::UnsupportedVersion(_)), "{err}");
+        }
     }
 
     #[test]
     fn truncation_anywhere_is_an_error_never_a_panic() {
         let rt = populated_runtime();
         let v2 = rt.snapshot_v2();
-        // Every strict prefix must fail cleanly (prefixes shorter than
-        // the magic fall back to the v1 text parser and fail there).
         for cut in 0..v2.len() {
-            let err = Runtime::restore_bytes(&v2[..cut]).expect_err("truncated must fail");
+            let err = Runtime::restore_v2(&v2[..cut]).expect_err("truncated must fail");
             let msg = err.to_string();
             assert!(!msg.is_empty());
+        }
+    }
+
+    /// Corruption that still decodes must come back as a `SnapshotError`,
+    /// never a downstream panic or abort: each mutation breaks one
+    /// invariant `SnapshotImage::assemble` checks.
+    #[test]
+    fn semantically_corrupt_snapshots_return_errors_not_panics() {
+        let image = SnapshotImage::capture(&populated_runtime());
+        type Mutation = fn(&mut SnapshotImage);
+        let mutations: [(&str, Mutation); 9] = [
+            ("zero rho", |im| im.rho = 0.0),
+            ("zero length word", |im| im.lengths[0] = 0.0),
+            ("negative load word", |im| im.loads[0] = -1.0),
+            ("zero capacity", |im| im.edges[0].2 = 0.0),
+            ("self-loop edge", |im| im.edges[0].1 = im.edges[0].0),
+            ("zero demand", |im| im.sessions[0].demand = 0.0),
+            ("member out of range", |im| im.sessions[0].members[0] = 4096),
+            ("out-of-range hop edge", |im| im.sessions[0].hops[0].edges[0] = 9999),
+            ("disconnected hop walk", |im| {
+                // The corner-to-corner hop's first path edge replaced by
+                // its last one, which touches the far corner, not the start.
+                let edges = &mut im.sessions[0].hops[0].edges;
+                edges[0] = *edges.last().expect("nonempty path");
+            }),
+        ];
+        for (what, mutate) in mutations {
+            let mut bad = image.clone();
+            mutate(&mut bad);
+            let err = Runtime::restore_v2(&encode(&bad)).expect_err(what);
+            assert!(matches!(err, SnapshotError::CorruptBinary { .. }), "{what}: {err}");
         }
     }
 }

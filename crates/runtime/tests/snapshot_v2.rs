@@ -1,7 +1,6 @@
-//! Snapshot v2 contract tests: v1→v2 migration compatibility, rejection
-//! of truncated/corrupt input with descriptive errors, and the
-//! crash-at-a-random-event property (save → restore → continue equals
-//! the uninterrupted run, `to_bits` exact).
+//! Snapshot v2 contract tests: rejection of truncated/corrupt input with
+//! descriptive errors, and the crash-at-a-random-event property (save →
+//! restore → continue equals the uninterrupted run, `to_bits` exact).
 
 use omcf_core::solver::RoutingMode;
 use omcf_numerics::Xoshiro256pp;
@@ -38,34 +37,6 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 #[test]
-fn v1_text_upgrades_to_v2_bit_identically() {
-    let rt = populated();
-    // A pre-upgrade process wrote v1 text; this build restores it and
-    // re-serializes as v2 without changing one bit of state.
-    let v1 = rt.snapshot();
-    let from_v1 = Runtime::restore(&v1).expect("v1 restore");
-    let v2 = from_v1.snapshot_v2();
-    let from_v2 = Runtime::restore_v2(&v2).expect("v2 restore");
-    assert_bits_eq(from_v2.lengths(), rt.lengths(), "lengths");
-    assert_bits_eq(from_v2.load(), rt.load(), "loads");
-    assert_eq!(from_v2.live_joins(), rt.live_joins());
-    assert_eq!(from_v2.events_processed(), rt.events_processed());
-    assert_eq!(from_v2.mst_ops(), rt.mst_ops());
-    // And the round-trip closes: the v2 restore still renders the same
-    // v1 text, so both generations agree on the state.
-    assert_eq!(from_v2.snapshot(), v1);
-}
-
-#[test]
-fn restore_bytes_sniffs_both_generations() {
-    let rt = populated();
-    let via_v1 = Runtime::restore_bytes(rt.snapshot().as_bytes()).expect("v1 via bytes");
-    let via_v2 = Runtime::restore_bytes(&rt.snapshot_v2()).expect("v2 via bytes");
-    assert_bits_eq(via_v1.lengths(), via_v2.lengths(), "lengths across generations");
-    assert_eq!(via_v1.snapshot_v2(), via_v2.snapshot_v2());
-}
-
-#[test]
 fn truncation_anywhere_is_rejected_descriptively() {
     let bytes = populated().snapshot_v2();
     // Every strict prefix must fail cleanly — no panic, no partial
@@ -92,7 +63,7 @@ fn corrupt_header_names_the_problem() {
     // Magic vandalism → unsupported format, not a byte-offset error.
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'X';
-    let err = Runtime::restore_bytes(&bad_magic).expect_err("bad magic");
+    let err = Runtime::restore_v2(&bad_magic).expect_err("bad magic");
     assert!(matches!(err, SnapshotError::UnsupportedVersion(_)), "{err}");
 
     // Future version → the error names the version it saw.
@@ -167,23 +138,5 @@ proptest! {
         prop_assert_eq!(resumed.live_joins(), whole.live_joins());
         prop_assert_eq!(resumed.events_processed(), whole.events_processed());
         prop_assert_eq!(resumed.snapshot_v2(), whole.snapshot_v2());
-    }
-
-    #[test]
-    fn v1_and_v2_restores_agree_at_any_point(
-        seed in any::<u64>(),
-        joins in 3usize..8,
-    ) {
-        let g = grid();
-        let churn = random_churn(&g, joins, 2, 1.0, 0.4, &mut Xoshiro256pp::new(seed));
-        let mut rt = Runtime::new(g, cfg());
-        for ev in Event::from_churn(&churn) {
-            rt.apply(&ev);
-        }
-        let from_v1 = Runtime::restore(&rt.snapshot()).expect("v1");
-        let from_v2 = Runtime::restore_v2(&rt.snapshot_v2()).expect("v2");
-        assert_bits_eq(from_v1.lengths(), from_v2.lengths(), "lengths");
-        assert_bits_eq(from_v1.load(), from_v2.load(), "loads");
-        prop_assert_eq!(from_v1.snapshot_v2(), from_v2.snapshot_v2());
     }
 }

@@ -8,7 +8,8 @@
 //! upgrade re-derives only the affected links, and `Reoptimize`
 //! checkpoints quantify how far the pinned greedy trees have drifted
 //! from what an omniscient batch solver would do. At the end, the whole
-//! runtime is snapshotted to a versioned blob and restored bit-for-bit.
+//! runtime is snapshotted to a versioned binary blob and restored
+//! bit-for-bit.
 //!
 //! ```sh
 //! cargo run --release --example live_churn
@@ -85,9 +86,9 @@ fn main() {
 
     // Persist and restore: the snapshot is bit-exact, so a restored
     // runtime re-serializes to the identical blob.
-    let snap = rt.snapshot();
-    let restored = Runtime::restore(&snap).expect("snapshot restores");
-    assert_eq!(restored.snapshot(), snap);
+    let snap = rt.snapshot_v2();
+    let restored = Runtime::restore_v2(&snap).expect("snapshot restores");
+    assert_eq!(restored.snapshot_v2(), snap);
     let rates = rt.rates();
     let total: f64 = rates.iter().map(|&(_, r)| r).sum();
     println!("\nsnapshot: {} bytes, version-gated, restored bit-identically", snap.len());

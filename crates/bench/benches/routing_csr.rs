@@ -89,10 +89,9 @@ fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
 }
 
 /// One fan round through the fan driver, every node a target of every
-/// job (whole trees), as the dynamic oracle runs it: one arc-order
-/// gather of the lengths, then one early-exit run per job under
-/// `policy`. Passes the per-job workspaces to `check`, hands them and
-/// the mirror back to `pool`, and returns the number of runs.
+/// job (whole trees), as the dynamic oracle runs it: one early-exit run
+/// per job under `policy`. Passes the per-job workspaces to `check`,
+/// hands them back to `pool`, and returns the number of runs.
 fn run_fan(
     g: &Graph,
     jobs: &[(NodeId, &[NodeId])],
@@ -101,15 +100,12 @@ fn run_fan(
     policy: Parallelism,
     check: impl Fn(&[DijkstraWorkspace]),
 ) -> f64 {
-    let mut arcs = pool.lease_mirror();
-    g.csr().fill_arc_lengths(lengths, &mut arcs);
-    let runs = run_fan_chunks_with(g, jobs, lengths, &arcs, pool, policy);
+    let runs = run_fan_chunks_with(g, jobs, lengths, pool, policy);
     check(&runs);
     let n = runs.len();
     for ws in runs {
         pool.give_back(ws);
     }
-    pool.give_back_mirror(arcs);
     n as f64
 }
 

@@ -62,7 +62,8 @@ fn bench_online(c: &mut Criterion) {
 }
 
 fn bench_parallel_sweep(c: &mut Criterion) {
-    // ablation_parallel: the same ratio sweep serially vs through rayon.
+    // ablation_parallel: the same ratio sweep serially vs through rayon,
+    // one oracle per ratio on both sides (oracles are not `Sync`).
     let cfg = Config { scale: Scale::Micro, seed: 2004 };
     let ratios = [0.88f64, 0.90, 0.92, 0.94];
     let mut grp = c.benchmark_group("ablation_parallel");
@@ -70,10 +71,12 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     grp.bench_function("sweep_serial", |b| {
         b.iter(|| {
             let scenario = omcf_sim::scenarios::ScenarioA::build(cfg.seed, cfg.scale);
-            let oracle = FixedIpOracle::new(&scenario.graph, &scenario.sessions);
             let outs: Vec<_> = ratios
                 .iter()
-                .map(|&r| max_flow(&scenario.graph, &oracle, ApproxParams::from_eps(1.0 - r)))
+                .map(|&r| {
+                    let oracle = FixedIpOracle::new(&scenario.graph, &scenario.sessions);
+                    max_flow(&scenario.graph, &oracle, ApproxParams::from_eps(1.0 - r))
+                })
                 .collect();
             black_box(outs)
         })
@@ -81,10 +84,12 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     grp.bench_function("sweep_rayon", |b| {
         b.iter(|| {
             let scenario = omcf_sim::scenarios::ScenarioA::build(cfg.seed, cfg.scale);
-            let oracle = FixedIpOracle::new(&scenario.graph, &scenario.sessions);
             let outs: Vec<_> = ratios
                 .par_iter()
-                .map(|&r| max_flow(&scenario.graph, &oracle, ApproxParams::from_eps(1.0 - r)))
+                .map(|&r| {
+                    let oracle = FixedIpOracle::new(&scenario.graph, &scenario.sessions);
+                    max_flow(&scenario.graph, &oracle, ApproxParams::from_eps(1.0 - r))
+                })
                 .collect();
             black_box(outs)
         })

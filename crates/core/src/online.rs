@@ -196,7 +196,9 @@ mod tests {
         let g = canned::path(3, 1.0);
         let sessions = SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(2)], 1.0)]);
         let oracle = FixedIpOracle::new(&g, &sessions);
-        let result = std::panic::catch_unwind(|| online_min_congestion(&g, &oracle, 0.0));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            online_min_congestion(&g, &oracle, 0.0)
+        }));
         assert!(result.is_err());
     }
 }

@@ -137,9 +137,12 @@ impl Instance {
         ApproxParams::from_eps(self.eps)
     }
 
-    /// Builds the oracle matching the instance's routing regime.
+    /// Builds the oracle matching the instance's routing regime. An
+    /// oracle may serve sequential runs, as evaluation's M1-then-M2 does,
+    /// but never concurrent ones: it is not `Sync`, so concurrent runs
+    /// each build their own.
     #[must_use]
-    pub fn oracle(&self) -> Box<dyn TreeOracle + Send + Sync> {
+    pub fn oracle(&self) -> Box<dyn TreeOracle + Send> {
         match self.routing {
             RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &self.sessions)),
             RoutingMode::Arbitrary => Box::new(DynamicOracle::new(&self.graph, &self.sessions)),
@@ -150,7 +153,7 @@ impl Instance {
     /// Dijkstra workspaces from `pool` (fixed-IP oracles have no
     /// workspaces to lease and ignore the pool).
     #[must_use]
-    pub fn oracle_pooled(&self, pool: &Arc<WorkspacePool>) -> Box<dyn TreeOracle + Send + Sync> {
+    pub fn oracle_pooled(&self, pool: &Arc<WorkspacePool>) -> Box<dyn TreeOracle + Send> {
         match self.routing {
             RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &self.sessions)),
             RoutingMode::Arbitrary => {
@@ -264,8 +267,9 @@ pub trait Solver: Send + Sync {
 
     /// Solves `inst` through `oracle`. The oracle must serve
     /// `inst.sessions` (as [`Instance::oracle`] guarantees); passing it
-    /// explicitly lets drivers control caching/pooling and share one
-    /// oracle across parameter sweeps.
+    /// explicitly lets drivers control caching and pooling. One oracle
+    /// may serve sequential runs, as evaluation's M1-then-M2 does, but
+    /// never concurrent ones.
     fn solve(&self, inst: &Instance, oracle: &dyn TreeOracle) -> SolverOutcome;
 
     /// Convenience: builds the instance's default oracle and solves.

@@ -25,32 +25,25 @@ use rayon::prelude::*;
 const FAN_TASK: usize = 8;
 
 /// Runs one early-exit Dijkstra per `(source, targets)` job, each
-/// stopping once every node of its target set is settled (an empty set
-/// runs to completion), and returns one workspace per job, in job order.
-/// This is the shape of one round of the dynamic oracle's Prim: each job
-/// is one member's fan to its session's members, possibly mixing
-/// sessions in one round. Rounds of more than eight jobs are split
-/// across `parallelism`'s workers in eight-job slices. `arcs` is `lengths`
-/// gathered into arc order ([`CsrGraph::fill_arc_lengths`]); workers
-/// share it by reference, and a caller that runs several rounds under
-/// one length assignment gathers it once for all of them. Settled
-/// distances, parents and paths are identical to full per-source runs.
-/// Callers read the workspaces they need and hand each back via
-/// [`WorkspacePool::give_back`].
-///
-/// [`CsrGraph::fill_arc_lengths`]: omcf_topology::CsrGraph::fill_arc_lengths
+/// stopping once every node of its target set is settled, and returns
+/// one workspace per job, in job order. This is the shape of one round
+/// of the dynamic oracle's Prim: each job is one member's fan to its
+/// session's members, possibly mixing sessions in one round. Rounds of
+/// more than eight jobs are split across `parallelism`'s workers in
+/// eight-job slices. Settled distances, parents and paths are identical
+/// to full per-source runs. Callers read the workspaces they need and
+/// hand each back via [`WorkspacePool::give_back`].
 #[must_use]
 pub fn run_fan_chunks_with(
     g: &Graph,
     jobs: &[(NodeId, &[NodeId])],
     lengths: &[f64],
-    arcs: &[f64],
     pool: &WorkspacePool,
     parallelism: Parallelism,
 ) -> Vec<DijkstraWorkspace> {
     let run_job = |&(src, targets): &(NodeId, &[NodeId])| -> DijkstraWorkspace {
         let mut ws = pool.lease(g.node_count());
-        ws.run_targets_arcs(g, src, lengths, arcs, targets);
+        ws.run_targets(g, src, lengths, targets);
         ws
     };
     if parallelism.is_serial() || jobs.len() <= FAN_TASK {

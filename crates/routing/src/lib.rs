@@ -8,8 +8,8 @@
 //!   [`FixedRoutes`].
 //! * **Arbitrary dynamic routing** (§V): a node pair may use *any* unicast
 //!   path; the algorithms pick the shortest path under the solver's current
-//!   edge-length assignment, recomputed every iteration. Modeled by
-//!   [`dynamic::shortest_paths_from`] et al.
+//!   edge-length assignment, recomputed every iteration. Modeled by the
+//!   early-exit fans of [`run_fan_chunks_with`], one per session member.
 //!
 //! Both are built on a single Dijkstra over the graph's struct-of-arrays
 //! [`omcf_topology::CsrGraph`] view with externally supplied per-edge
@@ -24,7 +24,6 @@
 //! bit-exactness oracle and bench baseline.
 
 pub mod dijkstra;
-pub mod dynamic;
 pub mod fanout;
 pub mod fixed;
 pub mod path;

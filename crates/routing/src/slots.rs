@@ -59,42 +59,6 @@ impl NodeSlot {
     }
 }
 
-/// Weight lookup for the relax loop, monomorphized: the generic loop
-/// compiles once per source, so the plain edge-indexed path and the
-/// contiguous arc-mirror path differ by a single load with no branch in
-/// between.
-pub(crate) trait ArcWeights: Copy {
-    /// Length of the edge behind arc slot `arc` (whose edge id is `e`).
-    fn weight(&self, arc: usize, e: EdgeId) -> f64;
-}
-
-/// Per-edge lengths indexed by `EdgeId` — the public single-run entry
-/// points, which must not pay an O(arcs) gather for one Dijkstra.
-#[derive(Clone, Copy)]
-pub(crate) struct EdgeIndexed<'a>(pub &'a [f64]);
-
-impl ArcWeights for EdgeIndexed<'_> {
-    #[inline]
-    fn weight(&self, _arc: usize, e: EdgeId) -> f64 {
-        self.0[e.idx()]
-    }
-}
-
-/// Arc-ordered mirror of the live lengths
-/// (`mirror[a] = lengths[arc_edges[a]]`, built by
-/// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)
-/// once per oracle query and shared by every fan in it): the inner loop streams
-/// one contiguous array instead of gathering through the edge-id table.
-#[derive(Clone, Copy)]
-pub(crate) struct ArcMirror<'a>(pub &'a [f64]);
-
-impl ArcWeights for ArcMirror<'_> {
-    #[inline]
-    fn weight(&self, arc: usize, _e: EdgeId) -> f64 {
-        self.0[arc]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@
 use crate::dijkstra::ShortestPathTree;
 use crate::path::Path;
 use crate::queue::HeapItem;
-use crate::slots::{ArcMirror, ArcWeights, EdgeIndexed, NodeSlot, NO_PARENT};
+use crate::slots::{NodeSlot, NO_PARENT};
 use omcf_telemetry::stats;
 use omcf_topology::{Graph, NodeId};
 use std::collections::BinaryHeap;
@@ -122,7 +122,7 @@ impl DijkstraWorkspace {
     /// node. Equivalent to [`crate::dijkstra::dijkstra`] with the state
     /// left in the workspace.
     pub fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]) {
-        self.run_inner(g, src, lengths, EdgeIndexed(lengths), &[]);
+        self.run_inner(g, src, lengths, &[]);
     }
 
     /// Runs Dijkstra from `src` but stops as soon as every node in
@@ -130,39 +130,10 @@ impl DijkstraWorkspace {
     /// are identical to a full run; unlisted nodes may be left unsettled.
     pub fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
         debug_assert!(!targets.is_empty(), "run_targets needs at least one target");
-        self.run_inner(g, src, lengths, EdgeIndexed(lengths), targets);
+        self.run_inner(g, src, lengths, targets);
     }
 
-    /// [`Self::run_targets`] reading lengths through a prebuilt
-    /// arc-ordered mirror (`arcs[a] = lengths[arc_edges[a]]`, see
-    /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)):
-    /// the inner loop streams one contiguous array instead of gathering
-    /// per arc. Results are bit-identical to [`Self::run_targets`] — the
-    /// same values are read, from a different layout. An empty `targets`
-    /// runs to completion like [`Self::run`]. The fan driver builds the
-    /// mirror once per length assignment and amortizes it over every run
-    /// of the fan; single-run callers should stay on [`Self::run_targets`],
-    /// which skips the O(arcs) gather.
-    pub(crate) fn run_targets_arcs(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        lengths: &[f64],
-        arcs: &[f64],
-        targets: &[NodeId],
-    ) {
-        debug_assert_eq!(arcs.len(), g.csr().arc_count(), "arc mirror sized for g");
-        self.run_inner(g, src, lengths, ArcMirror(arcs), targets);
-    }
-
-    fn run_inner<W: ArcWeights>(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        lengths: &[f64],
-        weights: W,
-        targets: &[NodeId],
-    ) {
+    fn run_inner(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
         assert_eq!(lengths.len(), g.edge_count(), "length table size mismatch");
         assert_eq!(self.slots.len(), g.node_count(), "workspace sized for a different graph");
         debug_assert!(lengths.iter().all(|l| *l >= 0.0 && l.is_finite()));
@@ -221,9 +192,8 @@ impl DijkstraWorkspace {
             }
             let (arc_edges, heads) = csr.arc_slices(u);
             scans += arc_edges.len() as u64;
-            let base = csr.arc_range(u).start;
-            for (k, (&e, &v)) in arc_edges.iter().zip(heads).enumerate() {
-                let nd = d + weights.weight(base + k, e);
+            for (&e, &v) in arc_edges.iter().zip(heads) {
+                let nd = d + lengths[e.idx()];
                 // One slot load answers "already settled?", "is dist
                 // valid?" and the tie-break parent in a single line fill.
                 let slot = &mut self.slots[v.idx()];
@@ -361,9 +331,6 @@ impl DijkstraWorkspace {
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: std::sync::Mutex<Vec<DijkstraWorkspace>>,
-    /// Arc-ordered length mirrors (one `f64` per arc), recycled across
-    /// fan calls so the once-per-fan gather never reallocates.
-    free_mirrors: std::sync::Mutex<Vec<Vec<f64>>>,
     parallelism: omcf_numerics::Parallelism,
 }
 
@@ -410,35 +377,15 @@ impl WorkspacePool {
         self.free.lock().expect("workspace pool poisoned").push(ws);
     }
 
-    /// Leases a scratch buffer for an arc-ordered length mirror (any
-    /// capacity; the gather resizes it). Fan drivers fill it via
-    /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)
-    /// once per length assignment and share it across every member run.
-    #[must_use]
-    pub fn lease_mirror(&self) -> Vec<f64> {
-        stats::ROUTING_POOL_LEASES.inc();
-        let leased = self.free_mirrors.lock().expect("workspace pool poisoned").pop();
-        leased.unwrap_or_else(|| {
-            stats::ROUTING_POOL_ALLOCS.inc();
-            Vec::new()
-        })
-    }
-
-    /// Returns a mirror buffer to the pool for future leases.
-    pub fn give_back_mirror(&self, m: Vec<f64>) {
-        self.free_mirrors.lock().expect("workspace pool poisoned").push(m);
-    }
-
     /// Number of idle pooled workspaces.
     #[must_use]
     pub fn idle(&self) -> usize {
         self.free.lock().expect("workspace pool poisoned").len()
     }
 
-    /// Drops all pooled workspaces and mirror buffers.
+    /// Drops all pooled workspaces.
     pub fn clear(&self) {
         self.free.lock().expect("workspace pool poisoned").clear();
-        self.free_mirrors.lock().expect("workspace pool poisoned").clear();
     }
 }
 

@@ -1,11 +1,10 @@
 //! Property-based tests pinning the packed-slot relaxation state and the
-//! arc-mirrored weight path to the frozen adjacency-list reference.
+//! fan driver to the frozen adjacency-list reference.
 //!
 //! `DijkstraWorkspace` keeps its per-node relaxation state (distance,
 //! parent edge, parent node, generation word) in one cache-line-friendly
-//! SoA-of-structs slab, and the fan driver reads the live lengths through
-//! an arc-order mirror gathered once per round so the relax loop streams
-//! a contiguous weight array. Neither may move a single bit: every test
+//! SoA-of-structs slab, and the fan driver runs one early-exit workspace
+//! per job across a thread pool. Neither may move a single bit: every test
 //! below compares `to_bits` on distances and exact path equality against
 //! `reference::dijkstra_adjacency` — the pre-refactor adjacency-list
 //! implementation kept frozen precisely to pin layouts like this one —
@@ -47,12 +46,12 @@ fn threads(n: usize) -> Parallelism {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Whole-tree fans through the mirror: every job targets every node,
-    /// so each run settles its whole reachable tree reading the arc-order
-    /// mirror, and every node matches the adjacency reference bit for bit
-    /// on both length profiles, at multiple thread counts.
+    /// Whole-tree fans: every job targets every node, so each run settles
+    /// its whole reachable tree, and every node matches the adjacency
+    /// reference bit for bit on both length profiles, at multiple thread
+    /// counts.
     #[test]
-    fn mirrored_fanout_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
+    fn fan_whole_trees_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xA1);
         let members: Vec<NodeId> =
@@ -60,19 +59,17 @@ proptest! {
         let all: Vec<NodeId> = g.nodes().collect();
         let jobs: Vec<(NodeId, &[NodeId])> = members.iter().map(|&m| (m, &all[..])).collect();
         let pool = WorkspacePool::new();
-        let mut arcs = Vec::new();
         for round in 0..2u32 {
             let lengths = random_lengths(&g, &mut rng, round);
-            g.csr().fill_arc_lengths(&lengths, &mut arcs);
             for t in [2usize, 4] {
-                let runs = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, threads(t));
+                let runs = run_fan_chunks_with(&g, &jobs, &lengths, &pool, threads(t));
                 for (ws, &src) in runs.iter().zip(&members) {
                     let reference = dijkstra_adjacency(&g, src, &lengths);
                     for v in g.nodes() {
                         prop_assert_eq!(
                             ws.dist(v).to_bits(),
                             reference.dist(v).to_bits(),
-                            "mirrored fan distance bits diverged ({} threads)",
+                            "fan distance bits diverged ({} threads)",
                             t
                         );
                         prop_assert_eq!(ws.path_to(v), reference.path_to(v));
@@ -87,10 +84,10 @@ proptest! {
 
     /// Early-exit fans (the oracle recompute shape): each job's settled
     /// targets carry exactly the reference's distance bits and paths,
-    /// serial and threaded. One job targets every node, so the mirror
-    /// stays pinned on whole trees next to the early exits.
+    /// serial and threaded. One job targets every node, so whole trees
+    /// stay pinned next to the early exits.
     #[test]
-    fn mirrored_fan_chunks_bit_identical_on_targets(seed in any::<u64>(), n in 10usize..40) {
+    fn fan_chunks_bit_identical_on_targets(seed in any::<u64>(), n in 10usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xA3);
         let lengths = random_lengths(&g, &mut rng, 0);
@@ -108,10 +105,8 @@ proptest! {
         let jobs: Vec<(NodeId, &[NodeId])> =
             jobs_owned.iter().map(|(s, t)| (*s, t.as_slice())).collect();
         let pool = WorkspacePool::new();
-        let mut arcs = Vec::new();
-        g.csr().fill_arc_lengths(&lengths, &mut arcs);
         for policy in [Parallelism::Serial, threads(4)] {
-            let runs = run_fan_chunks_with(&g, &jobs, &lengths, &arcs, &pool, policy);
+            let runs = run_fan_chunks_with(&g, &jobs, &lengths, &pool, policy);
             prop_assert_eq!(runs.len(), jobs.len());
             for (ws, (src, tgts)) in runs.iter().zip(&jobs_owned) {
                 let reference = dijkstra_adjacency(&g, *src, &lengths);

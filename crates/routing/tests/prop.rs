@@ -40,9 +40,7 @@ fn fan_round(
     pool: &WorkspacePool,
     policy: Parallelism,
 ) -> Vec<ShortestPathTree> {
-    let mut arcs = Vec::new();
-    g.csr().fill_arc_lengths(lengths, &mut arcs);
-    run_fan_chunks_with(g, jobs, lengths, &arcs, pool, policy)
+    run_fan_chunks_with(g, jobs, lengths, pool, policy)
         .into_iter()
         .map(|ws| {
             let tree = ws.to_tree();

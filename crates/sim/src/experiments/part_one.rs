@@ -28,8 +28,8 @@ pub fn covered_edges(scenario: &ScenarioA) -> Vec<EdgeId> {
     FixedIpOracle::new(&scenario.graph, &scenario.sessions).covered_edges()
 }
 
-/// One run of `kind` per ratio (parallel over the sweep), all through the
-/// [`omcf_core::Solver`] front door against one shared epoch-cached
+/// One run of `kind` per ratio (parallel over the sweep), each through
+/// the [`omcf_core::Solver`] front door against its own epoch-cached
 /// oracle.
 #[must_use]
 pub fn solver_ratio_sweep(
@@ -46,14 +46,10 @@ pub fn solver_ratio_sweep(
         cfg.ratios().len()
     );
     let base = instance_for(&scenario, mode);
-    let oracle = base.oracle();
     let outs: Vec<SolverOutcome> = cfg
         .ratios()
         .par_iter()
-        .map(|&r| {
-            let inst = base.clone().with_eps(experiment_params(r).eps);
-            kind.solver().solve(&inst, oracle.as_ref())
-        })
+        .map(|&r| kind.solver().run(&base.clone().with_eps(experiment_params(r).eps)))
         .collect();
     (scenario, outs)
 }
@@ -325,7 +321,7 @@ pub fn limited_trees(cfg: &Config, mode: RoutingMode, name_prefix: &str) -> Limi
                 for order in 0..trials {
                     let (set, groups) =
                         scenario.replicated_arrivals(n, cfg.seed ^ (order as u64) << 16 ^ n as u64);
-                    let run_oracle: Box<dyn TreeOracle + Sync> = match mode {
+                    let run_oracle: Box<dyn TreeOracle> = match mode {
                         RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&scenario.graph, &set)),
                         RoutingMode::Arbitrary => {
                             Box::new(DynamicOracle::new(&scenario.graph, &set))

@@ -4,9 +4,10 @@
 //! 1. **Count-class bit-identity.** The deterministic view of a sweep's
 //!    telemetry (every `Class::Count` counter/histogram plus span call
 //!    counts) is byte-identical across `Parallelism::Serial` and
-//!    `Threads{1,2,4}`, and across repeated runs at the same count.
-//!    Wall-clock metrics are excluded by construction — `deterministic_view`
-//!    never renders them.
+//!    `Threads{1,2,4}`, and across repeated runs at the same count, for
+//!    the sweep grid and for the part-one ratio sweeps. Wall-clock
+//!    metrics are excluded by construction — `deterministic_view` never
+//!    renders them.
 //! 2. **Schema round-trip.** The profile JSON renders through the
 //!    sorted-key writer, passes the strict JSON/sorted-keys linter, and
 //!    carries every metric family the wired subsystems emit.
@@ -19,9 +20,11 @@
 use omcf_core::solver::{SolverKind, SolverOutcome};
 use omcf_core::Parallelism;
 use omcf_runtime::{replay_churn, ReplayConfig};
+use omcf_sim::experiments::{part_one, Config, RoutingMode};
 use omcf_sim::registry;
 use omcf_sim::sweep::{run_sweep, SweepConfig};
 use omcf_sim::Scale;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 /// Serializes the tests (telemetry state is process-global).
@@ -29,7 +32,7 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 /// A small but subsystem-spanning grid: one fixed-IP and one
 /// dynamic-routing scenario (the latter exercises the Dijkstra workspace
-/// pool and arc mirrors) × all four solvers.
+/// pool and the fan driver) × all four solvers.
 fn micro_cfg(par: Parallelism) -> SweepConfig {
     SweepConfig::full(Scale::Micro, vec![7])
         .with_scenarios(&["ring-lattice", "scenario-a-dynamic"])
@@ -59,6 +62,10 @@ fn count_metrics_bit_identical_across_thread_counts_and_repeats() {
     for needle in [
         "counter engine.augment.count ",
         "counter engine.oracle.calls ",
+        "counter oracle.dynamic.cache.hits ",
+        "counter oracle.dynamic.cache.misses ",
+        "counter oracle.fixed.cache.hits ",
+        "counter oracle.fixed.cache.misses ",
         "counter routing.dijkstra.runs ",
         "counter routing.heap.pushes ",
         "counter routing.heap.pops ",
@@ -71,22 +78,56 @@ fn count_metrics_bit_identical_across_thread_counts_and_repeats() {
         assert!(baseline.contains(needle), "baseline view missing `{needle}`:\n{baseline}");
     }
     // Wall-class metrics must NOT leak into the deterministic view.
-    for forbidden in ["pool.allocs", "solve.us", "in_flight", "cache.hits", "cache.misses"] {
+    for forbidden in ["pool.allocs", "solve.us", "in_flight"] {
         assert!(!baseline.contains(forbidden), "wall-class `{forbidden}` leaked:\n{baseline}");
     }
     for threads in [1usize, 2, 4] {
         let view = collect(|| {
-            let _ = run_sweep(&micro_cfg(Parallelism::Threads(
-                std::num::NonZeroUsize::new(threads).unwrap(),
-            )));
+            let _ = run_sweep(&micro_cfg(threads_policy(threads)));
         });
         assert_eq!(baseline, view, "Threads({threads}) diverged from Serial");
     }
     let repeat = collect(|| {
-        let _ =
-            run_sweep(&micro_cfg(Parallelism::Threads(std::num::NonZeroUsize::new(4).unwrap())));
+        let _ = run_sweep(&micro_cfg(threads_policy(4)));
     });
     assert_eq!(baseline, repeat, "repeated Threads(4) run diverged");
+}
+
+fn threads_policy(threads: usize) -> Parallelism {
+    Parallelism::Threads(NonZeroUsize::new(threads).unwrap())
+}
+
+#[test]
+fn part_one_count_metrics_bit_identical_across_thread_counts_and_repeats() {
+    // The part-one ratio sweeps solve their ratios in parallel, each run
+    // against its own oracle, so even the oracle-cache counters depend
+    // only on each run's query sequence. Fast has three ratios to
+    // interleave; Micro has one.
+    let _guard = LOCK.lock().unwrap();
+    let cfg = Config { scale: Scale::Fast, seed: 2004 };
+    let sweeps = |threads: usize| {
+        let mut objectives = Vec::new();
+        let view = collect(|| {
+            objectives = threads_policy(threads).install(|| {
+                [part_one::max_flow_sweep, part_one::mcf_sweep]
+                    .iter()
+                    .flat_map(|sweep| sweep(&cfg, RoutingMode::FixedIp).1)
+                    .map(|out| out.objective.to_bits())
+                    .collect::<Vec<u64>>()
+            });
+        });
+        (view, objectives)
+    };
+    let (baseline, objectives) = sweeps(2);
+    assert!(
+        baseline.contains("counter oracle.cache.bypassed "),
+        "baseline view missing the bypass counter:\n{baseline}"
+    );
+    for (threads, run) in [(4, "Threads(4)"), (4, "repeated Threads(4)")] {
+        let (view, outs) = sweeps(threads);
+        assert_eq!(baseline, view, "{run} view diverged from Threads(2)");
+        assert_eq!(objectives, outs, "{run} objectives diverged from Threads(2)");
+    }
 }
 
 #[test]

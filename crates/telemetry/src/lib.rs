@@ -20,19 +20,6 @@
 //!   `Wall` metrics (latencies, high-water marks, allocation counts that
 //!   depend on interleaving) are explicitly excluded from that contract
 //!   and marked as such in every export.
-//!
-//!   One boundary condition: the `Count` guarantee presupposes that no
-//!   epoch-cached oracle is shared across *concurrently running* solves.
-//!   A contended oracle deliberately falls back to lock-free recompute
-//!   (see `omcf-overlay`), so the set of Dijkstras actually run — and
-//!   with it `routing.*` work counters — varies with lock interleaving
-//!   there. All profile-bearing drivers (the sweep grid, replay, every
-//!   single-solve path) give each concurrent solve its own oracle and
-//!   satisfy the precondition; the part-one ratio sweeps share one
-//!   oracle across parallel runs by design and are reproducible only
-//!   under `Parallelism::Serial`. Oracle cache hit/miss counters are
-//!   `Wall` outright — contention skews them on the shared-oracle path
-//!   regardless.
 //! * **Deterministic merge order.** Snapshots merge per-worker cells
 //!   shard-index-ordered and emit metrics name-sorted; span trees are
 //!   merged path-sorted. Two snapshots of the same counts render to the

@@ -33,26 +33,21 @@ pub static ENGINE_DUAL_BOUND_SUMS: Counter = Counter::new("engine.dual.bound_sum
 
 // --- oracle (epoch-cached tree oracles, omcf-overlay) -----------------
 //
-// All five cache counters are Wall class, not Count: an oracle shared
-// across parallel solver runs (e.g. a rayon ratio sweep) resolves cache
-// contention with `try_lock`, and a contended query falls back to the
-// uncached path — counted as misses — so hit/miss totals depend on lock
-// interleaving. (Under the sweep driver every cell owns its oracle and
-// probes serially, so there the totals happen to be reproducible, but the
-// class records the universal guarantee, not the best case.)
+// The five cache counters are Count class: an oracle is not `Sync`, so
+// each one serves one run at a time, and its hits, misses and bypassed
+// queries follow from that run's query sequence alone.
 
 /// Dynamic-oracle member fans Prim read that the epoch cache served.
-pub static ORACLE_DYNAMIC_HITS: Counter = Counter::new("oracle.dynamic.cache.hits", Class::Wall);
+pub static ORACLE_DYNAMIC_HITS: Counter = Counter::new("oracle.dynamic.cache.hits", Class::Count);
 /// Dynamic-oracle member fans Prim read that were computed.
 pub static ORACLE_DYNAMIC_MISSES: Counter =
-    Counter::new("oracle.dynamic.cache.misses", Class::Wall);
+    Counter::new("oracle.dynamic.cache.misses", Class::Count);
 /// Fixed-IP-oracle session trees answered from the epoch cache.
-pub static ORACLE_FIXED_HITS: Counter = Counter::new("oracle.fixed.cache.hits", Class::Wall);
+pub static ORACLE_FIXED_HITS: Counter = Counter::new("oracle.fixed.cache.hits", Class::Count);
 /// Fixed-IP-oracle session trees actually recomputed.
-pub static ORACLE_FIXED_MISSES: Counter = Counter::new("oracle.fixed.cache.misses", Class::Wall);
-/// Queries that skipped cache probing because auto-bypass engaged (the
-/// bypass gauge trips on miss streaks, themselves contention-dependent).
-pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Class::Wall);
+pub static ORACLE_FIXED_MISSES: Counter = Counter::new("oracle.fixed.cache.misses", Class::Count);
+/// Queries that skipped cache probing because the auto-bypass engaged.
+pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Class::Count);
 
 // --- routing (CSR Dijkstra + workspace pool, omcf-routing) ------------
 
@@ -64,17 +59,12 @@ pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Cl
 pub static ROUTING_HEAP_POPS: Counter = Counter::new("routing.heap.pops", Class::Count);
 /// Arcs examined by settled-node relaxation scans.
 pub static ROUTING_RELAXATIONS: Counter = Counter::new("routing.relaxations", Class::Count);
-/// Workspace-pool leases (workspaces + mirrors). Lease counts
-/// are schedule-independent; *allocation* counts below are not.
+/// Workspace-pool leases. Lease counts are schedule-independent;
+/// *allocation* counts below are not.
 pub static ROUTING_POOL_LEASES: Counter = Counter::new("routing.pool.leases", Class::Count);
 /// Pool leases that had to allocate because the free list was empty —
 /// depends on thread interleaving, hence Wall class.
 pub static ROUTING_POOL_ALLOCS: Counter = Counter::new("routing.pool.allocs", Class::Wall);
-/// Arc-mirror gathers (`fill_arc_lengths` sweeps, one per dynamic-oracle
-/// query that computes a fan).
-pub static ROUTING_MIRROR_GATHERS: Counter = Counter::new("routing.mirror.gathers", Class::Count);
-/// Arcs copied by those gathers.
-pub static ROUTING_MIRROR_ARCS: Counter = Counter::new("routing.mirror.arcs", Class::Count);
 
 // --- runtime (event loop, omcf-runtime) -------------------------------
 

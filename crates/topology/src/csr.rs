@@ -104,18 +104,6 @@ impl CsrGraph {
         self.weights[slot]
     }
 
-    /// Gathers per-edge `lengths` into **arc order**:
-    /// `out[a] = lengths[arc_edges[a]]` for every arc slot `a`. One pass
-    /// builds a contiguous weight array the relax loop can read by arc
-    /// index — no per-arc indirection through the edge-id table — which
-    /// pays off whenever many shortest-path runs share one length
-    /// assignment (a member fan). `out` is reused as scratch (cleared
-    /// first), so pooled callers pay no allocation after warm-up.
-    pub fn fill_arc_lengths(&self, lengths: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.arc_edges.iter().map(|e| lengths[e.idx()]));
-    }
-
     /// Out-degree of `n` (parallel edges counted separately).
     #[must_use]
     pub fn degree(&self, n: NodeId) -> usize {

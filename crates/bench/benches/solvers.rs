@@ -1,7 +1,7 @@
 //! Core-solver benches: how the FPTAS and online algorithms scale with
 //! accuracy, session size and session count — the knobs Theorem 1/2's
 //! running-time bounds predict. Includes the rayon-vs-serial sweep
-//! ablation from DESIGN.md §4.
+//! ablation (`ablation_parallel`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omcf_bench::fixture;

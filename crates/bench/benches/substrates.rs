@@ -2,7 +2,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omcf_bench::fixture;
-use omcf_maxflow::{dinic, push_relabel, FlowNetwork};
 use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_overlay::{DynamicOracle, FixedIpOracle, TreeOracle};
 use omcf_routing::dijkstra::dijkstra_hops;
@@ -27,28 +26,6 @@ fn bench_topology_generation(c: &mut Criterion) {
 fn bench_dijkstra(c: &mut Criterion) {
     let (g, _) = fixture(200, 1, 5, 3);
     c.bench_function("dijkstra_hops_200n", |b| b.iter(|| black_box(dijkstra_hops(&g, NodeId(0)))));
-}
-
-fn bench_maxflow_algorithms(c: &mut Criterion) {
-    // Dinic vs push-relabel on the same random networks (the
-    // ablation_maxflow comparison from DESIGN.md §4).
-    let mut rng = Xoshiro256pp::new(99);
-    let n = 150usize;
-    let mut net = FlowNetwork::new(n);
-    for _ in 0..n * 5 {
-        let u = rng.index(n);
-        let mut v = rng.index(n);
-        while v == u {
-            v = rng.index(n);
-        }
-        net.add_arc(u, v, rng.range_f64(1.0, 10.0));
-    }
-    let mut g = c.benchmark_group("ablation_maxflow");
-    g.bench_function("dinic", |b| b.iter(|| black_box(dinic(net.clone(), 0, n - 1).value)));
-    g.bench_function("push_relabel", |b| {
-        b.iter(|| black_box(push_relabel(net.clone(), 0, n - 1).value))
-    });
-    g.finish();
 }
 
 fn bench_oracle(c: &mut Criterion) {
@@ -83,11 +60,10 @@ fn bench_numerics(c: &mut Criterion) {
 
 fn bench_tree_packing(c: &mut Criterion) {
     use omcf_topology::canned;
-    use omcf_treepack::{pack_fptas, pack_greedy, strength_exact};
+    use omcf_treepack::{pack_greedy, strength_exact};
     let g = canned::complete(8, 3.0);
     let mut grp = c.benchmark_group("treepack");
     grp.bench_function("greedy_k8", |b| b.iter(|| black_box(pack_greedy(&g).value())));
-    grp.bench_function("fptas_k8_eps05", |b| b.iter(|| black_box(pack_fptas(&g, 0.05).value())));
     grp.bench_function("strength_exact_k8", |b| b.iter(|| black_box(strength_exact(&g))));
     grp.finish();
 }
@@ -96,7 +72,6 @@ criterion_group!(
     benches,
     bench_topology_generation,
     bench_dijkstra,
-    bench_maxflow_algorithms,
     bench_oracle,
     bench_numerics,
     bench_tree_packing,

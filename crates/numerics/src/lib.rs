@@ -56,8 +56,8 @@ pub fn approx_le(a: f64, b: f64, rel: f64) -> bool {
     a <= b + rel * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Default relative tolerance for feasibility checks (documented in
-/// DESIGN.md §5).
+/// Default relative tolerance for feasibility checks: the `rel` to hand
+/// [`approx_le`] when comparing a load against its capacity.
 pub const FEASIBILITY_RTOL: f64 = 1e-9;
 
 #[cfg(test)]

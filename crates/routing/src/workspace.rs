@@ -242,26 +242,6 @@ impl DijkstraWorkspace {
         self.tentative(n.idx())
     }
 
-    /// Appends the edge ids of the shortest path to `dst` onto `out`
-    /// (allocation-free alternative to [`Self::path_to`]); returns `false`
-    /// if `dst` is unreached. The ids are pushed in reverse (`dst` → source)
-    /// order — unlike [`Self::path_to`] — so treat the result as an
-    /// unordered set or reverse it. After an early-exited run, query
-    /// settled targets only.
-    pub fn path_edges_into(&self, dst: NodeId, out: &mut Vec<u32>) -> bool {
-        if !self.dist(dst).is_finite() {
-            return false;
-        }
-        let mut cur = dst;
-        while cur != self.src {
-            let (e, prev) =
-                self.slots[cur.idx()].parent().expect("reachable non-source has a parent");
-            out.push(e.0);
-            cur = prev;
-        }
-        true
-    }
-
     /// Extracts the shortest path to `dst`, or `None` if unreached.
     /// After an early-exited run, query settled targets only.
     #[must_use]

@@ -15,20 +15,19 @@
 //! * [`strength::strength_exact`] — exact strength by partition enumeration
 //!   (restricted-growth strings; practical to ~12 nodes, which covers the
 //!   paper's worked example and the test corpus);
-//! * [`strength::strength_upper_2partition`] — the best two-block bound via
-//!   `|V| − 1` min-cut computations (the Barahona-flavored reduction to
-//!   max-flows, using `omcf-maxflow`);
 //! * [`pack::pack_greedy`] — max-bottleneck-tree greedy packing (≤ `|E|`
-//!   iterations, each saturating an edge);
-//! * [`pack::pack_fptas`] — Garg–Könemann fractional packing with an MST
-//!   oracle, converging to the Tutte bound as ε → 0.
+//!   iterations, each saturating an edge).
 //!
-//! The paper's Fig. 1 example (weighted K4, integral packing of aggregate
-//! rate 5, fractional optimum 17/3) is reproduced in the tests of
-//! [`pack`].
+//! The fractional packing comes from the solver engine: problem `S` is M1
+//! with one session holding every node under fixed routing, so
+//! `omcf_core::max_flow` solves it, and the property `packing_sandwich`
+//! (`tests/prop.rs`) checks its value and dual bound against
+//! [`strength::strength_exact`]. The paper's Fig. 1 example (weighted K4,
+//! integral packing of aggregate rate 5, fractional optimum 17/3) is
+//! reproduced in the tests of [`pack`] and [`strength`].
 
 pub mod pack;
 pub mod strength;
 
-pub use pack::{pack_fptas, pack_greedy, Packing, SpanningTree};
-pub use strength::{strength_bounds, strength_exact, strength_upper_2partition};
+pub use pack::{pack_greedy, Packing, SpanningTree};
+pub use strength::strength_exact;

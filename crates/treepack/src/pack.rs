@@ -1,4 +1,4 @@
-//! Spanning-tree packings: greedy and fractional (Garg–Könemann).
+//! Spanning-tree packings: the greedy integral packing.
 
 use omcf_numerics::NeumaierSum;
 use omcf_topology::{EdgeId, Graph};
@@ -126,41 +126,6 @@ fn max_bottleneck_tree(g: &Graph, residual: &[f64]) -> Option<SpanningTree> {
     Some(SpanningTree { edges })
 }
 
-/// Minimum-length spanning tree under `lengths`, over all edges.
-fn min_length_tree(g: &Graph, lengths: &[f64]) -> SpanningTree {
-    let n = g.node_count();
-    let mut in_tree = vec![false; n];
-    let mut best = vec![f64::INFINITY; n];
-    let mut via = vec![EdgeId(0); n];
-    in_tree[0] = true;
-    for (e, v) in g.neighbors(omcf_topology::NodeId(0)) {
-        if lengths[e.idx()] < best[v.idx()] {
-            best[v.idx()] = lengths[e.idx()];
-            via[v.idx()] = e;
-        }
-    }
-    let mut edges = Vec::with_capacity(n - 1);
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        for j in 0..n {
-            if !in_tree[j] && (pick == usize::MAX || best[j] < best[pick]) {
-                pick = j;
-            }
-        }
-        assert!(best[pick].is_finite(), "graph must be connected");
-        in_tree[pick] = true;
-        edges.push(via[pick]);
-        for (e, v) in g.neighbors(omcf_topology::NodeId(pick as u32)) {
-            let l = lengths[e.idx()];
-            if !in_tree[v.idx()] && l < best[v.idx()] {
-                best[v.idx()] = l;
-                via[v.idx()] = e;
-            }
-        }
-    }
-    SpanningTree { edges }
-}
-
 /// Greedy packing: repeatedly take the maximum-bottleneck spanning tree of
 /// the residual graph and route its bottleneck rate. Each iteration
 /// saturates at least one edge, so there are at most `|E|` trees. Not
@@ -193,44 +158,6 @@ pub fn pack_greedy(g: &Graph) -> Packing {
     packing
 }
 
-/// Fractional packing via Garg–Könemann with an MST oracle: a (1−2ε)
-/// approximation to the Tutte/Nash-Williams optimum.
-///
-/// This is the paper's core length-update machinery in its simplest
-/// habitat — the "overlay" is the session graph itself, `n_e(t) ∈ {0, 1}`.
-#[must_use]
-pub fn pack_fptas(g: &Graph, eps: f64) -> Packing {
-    assert!(eps > 0.0 && eps < 0.5, "eps in (0, 0.5)");
-    let m = g.edge_count() as f64;
-    // Standard GK initialization for packing LPs.
-    let delta = (1.0 + eps) / ((1.0 + eps) * m).powf(1.0 / eps);
-    let weights: Vec<f64> = g.edge_ids().map(|e| g.capacity(e)).collect();
-    let mut lengths: Vec<f64> = weights.iter().map(|_| delta).collect();
-    let mut raw: std::collections::BTreeMap<Vec<u32>, (SpanningTree, f64)> =
-        std::collections::BTreeMap::new();
-
-    loop {
-        let tree = min_length_tree(g, &lengths);
-        let tree_len: f64 = tree.edges.iter().map(|e| lengths[e.idx()]).sum();
-        if tree_len >= 1.0 {
-            break;
-        }
-        let rate = tree.edges.iter().map(|e| weights[e.idx()]).fold(f64::INFINITY, f64::min);
-        for e in &tree.edges {
-            lengths[e.idx()] *= 1.0 + eps * rate / weights[e.idx()];
-        }
-        let mut key: Vec<u32> = tree.edges.iter().map(|e| e.0).collect();
-        key.sort_unstable();
-        raw.entry(key).and_modify(|(_, r)| *r += rate).or_insert((tree, rate));
-    }
-
-    // Scale to feasibility: total flow through e is < weight_e ·
-    // log_{1+eps}((1+eps)/delta).
-    let scale = 1.0 / (((1.0 + eps) / delta).ln() / (1.0 + eps).ln());
-    let trees = raw.into_values().map(|(t, r)| (t, r * scale)).filter(|(_, r)| *r > TOL).collect();
-    Packing { trees }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,26 +170,6 @@ mod tests {
         let p = pack_greedy(&g);
         p.validate(&g, 1e-9);
         assert!(p.value() >= 5.0 - 1e-9, "greedy value {}", p.value());
-    }
-
-    #[test]
-    fn fptas_approaches_tutte_bound_on_fig1() {
-        let g = canned::fig1_session_graph();
-        let opt = strength_exact(&g); // 17/3
-        let p = pack_fptas(&g, 0.05);
-        p.validate(&g, 1e-9);
-        assert!(p.value() >= (1.0 - 2.0 * 0.05) * opt, "fptas {} vs opt {opt}", p.value());
-        assert!(p.value() <= opt + 1e-9, "cannot exceed the bound");
-    }
-
-    #[test]
-    fn fptas_tightens_with_epsilon() {
-        let g = canned::complete(5, 2.0);
-        let opt = strength_exact(&g); // 5 (K5 unit strength n/2 scaled by 2)
-        let loose = pack_fptas(&g, 0.2).value();
-        let tight = pack_fptas(&g, 0.02).value();
-        assert!(tight >= loose - 1e-9, "tight {tight} loose {loose}");
-        assert!(tight >= 0.96 * opt, "tight {tight} vs opt {opt}");
     }
 
     #[test]
@@ -294,10 +201,9 @@ mod tests {
             }
             let g = b.finish();
             let opt = strength_exact(&g);
-            for p in [pack_greedy(&g), pack_fptas(&g, 0.1)] {
-                p.validate(&g, 1e-9);
-                assert!(p.value() <= opt + 1e-6, "packing {} > strength {opt}", p.value());
-            }
+            let p = pack_greedy(&g);
+            p.validate(&g, 1e-9);
+            assert!(p.value() <= opt + 1e-6, "packing {} > strength {opt}", p.value());
         }
     }
 

@@ -1,6 +1,5 @@
 //! Network strength: the Tutte/Nash-Williams partition bound.
 
-use omcf_maxflow::{dinic, FlowNetwork};
 use omcf_topology::Graph;
 
 /// Exact strength `min_π f(π)/(|π|−1)` by enumerating all set partitions of
@@ -14,7 +13,7 @@ use omcf_topology::Graph;
 pub fn strength_exact(g: &Graph) -> f64 {
     let n = g.node_count();
     assert!(n >= 2, "strength needs at least two nodes");
-    assert!(n <= 12, "partition enumeration is exponential; use bounds for n > 12");
+    assert!(n <= 12, "partition enumeration is exponential; n must be at most 12");
     // Precompute edge endpoints and weights once.
     let edges: Vec<(usize, usize, f64)> = g
         .edge_ids()
@@ -60,54 +59,6 @@ pub fn strength_exact(g: &Graph) -> f64 {
     }
 }
 
-/// Best **two-block** partition bound: `min_cut(g)` over all global cuts,
-/// computed as `|V| − 1` s–t max-flows with node 0 fixed on one side.
-/// Always an upper bound on the strength (the strength minimizes over all
-/// partitions, two-block ones included), and equal to it whenever the
-/// optimal partition has two blocks.
-#[must_use]
-pub fn strength_upper_2partition(g: &Graph) -> f64 {
-    let n = g.node_count();
-    assert!(n >= 2, "need at least two nodes");
-    let mut best = f64::INFINITY;
-    for t in 1..n {
-        let net = FlowNetwork::from_undirected(g);
-        let cut = dinic(net, 0, t).value;
-        if cut < best {
-            best = cut;
-        }
-    }
-    best
-}
-
-/// The all-singletons partition bound `W / (n − 1)` (total weight over
-/// `n − 1`); another cheap upper bound on strength, tight for "uniformly
-/// spread" graphs.
-#[must_use]
-pub fn strength_upper_singletons(g: &Graph) -> f64 {
-    let n = g.node_count();
-    assert!(n >= 2);
-    let total: f64 = g.edge_ids().map(|e| g.capacity(e)).sum();
-    total / (n as f64 - 1.0)
-}
-
-/// Two-sided strength bounds for graphs too large to enumerate
-/// (`strength_exact` caps at 12 nodes): the Garg–Könemann fractional
-/// packing at accuracy `eps` gives `lo = value` and
-/// `hi = min(value/(1−2ε), 2-partition bound, singleton bound)` —
-/// the packing value never exceeds the strength, and dividing out the
-/// FPTAS guarantee upper-bounds it.
-#[must_use]
-pub fn strength_bounds(g: &Graph, eps: f64) -> (f64, f64) {
-    assert!(eps > 0.0 && eps < 0.5);
-    let lo = crate::pack::pack_fptas(g, eps).value();
-    let hi = (lo / (1.0 - 2.0 * eps))
-        .min(strength_upper_2partition(g))
-        .min(strength_upper_singletons(g));
-    // Floating point can leave lo a hair above a tight hi; clamp.
-    (lo.min(hi), hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +70,6 @@ mod tests {
         // average cuts, so strength = min edge weight.
         let g = canned::path(5, 3.0);
         assert!((strength_exact(&g) - 3.0).abs() < 1e-12);
-        assert!((strength_upper_2partition(&g) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -153,22 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn two_partition_bound_dominates_exact() {
-        let graphs = [canned::fig1_session_graph(), canned::complete(5, 2.0), canned::ring(6, 1.5)];
-        for g in graphs {
-            let exact = strength_exact(&g);
-            let two = strength_upper_2partition(&g);
-            let single = strength_upper_singletons(&g);
-            assert!(exact <= two + 1e-9, "2-partition bound must be ≥ exact");
-            assert!(exact <= single + 1e-9, "singleton bound must be ≥ exact");
-        }
-    }
-
-    #[test]
     fn star_strength_equals_leaf_weight() {
         let g = canned::star(6, 4.0);
         assert!((strength_exact(&g) - 4.0).abs() < 1e-9);
-        assert!((strength_upper_2partition(&g) - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -176,26 +113,5 @@ mod tests {
     fn exact_rejects_large_graphs() {
         let g = canned::ring(13, 1.0);
         let _ = strength_exact(&g);
-    }
-
-    #[test]
-    fn bounds_bracket_exact_on_small_graphs() {
-        for g in [canned::fig1_session_graph(), canned::complete(6, 2.0), canned::ring(7, 1.5)] {
-            let exact = strength_exact(&g);
-            let (lo, hi) = strength_bounds(&g, 0.05);
-            assert!(lo <= exact + 1e-9, "lo {lo} above exact {exact}");
-            assert!(hi >= exact - 1e-9, "hi {hi} below exact {exact}");
-            assert!(hi / lo <= 1.0 / (1.0 - 0.1) + 1e-6, "bracket too wide: [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn bounds_work_beyond_enumeration_limit() {
-        // 20-node complete graph with unit weights: strength is n/2 = 10
-        // (known closed form), far beyond the enumeration cap.
-        let g = canned::complete(20, 1.0);
-        let (lo, hi) = strength_bounds(&g, 0.04);
-        assert!(lo <= 10.0 + 1e-9 && hi >= 10.0 - 1e-9, "[{lo}, {hi}] must bracket 10");
-        assert!(lo >= 0.9 * 10.0, "lower bound too loose: {lo}");
     }
 }

@@ -7,10 +7,9 @@
 //! |------|---------------|----------|
 //! | [`numerics`] | `omcf-numerics` | extended-range floats, PRNGs, stats |
 //! | [`topology`] | `omcf-topology` | Waxman / Barabási / hierarchy generators |
-//! | [`maxflow`] | `omcf-maxflow` | Dinic, push-relabel, min-cut |
-//! | [`routing`] | `omcf-routing` | fixed-IP and dynamic shortest paths |
+//! | [`routing`] | `omcf-routing` | CSR Dijkstra, fixed-IP routes, early-exit fans |
 //! | [`overlay`] | `omcf-overlay` | sessions, overlay trees, MST oracles |
-//! | [`treepack`] | `omcf-treepack` | spanning-tree packing, network strength |
+//! | [`treepack`] | `omcf-treepack` | greedy spanning-tree packing, exact network strength |
 //! | [`solver`] | `omcf-core` | M1/M2 FPTAS, rounding, online algorithm |
 //! | [`runtime`] | `omcf-runtime` | event-driven session runtime, the sharded `Fleet`, snapshots, WAL, replay |
 //! | [`sim`] | `omcf-sim` | the paper's scenarios, tables and figures |
@@ -31,7 +30,6 @@
 //! ```
 
 pub use omcf_core as solver;
-pub use omcf_maxflow as maxflow;
 pub use omcf_numerics as numerics;
 pub use omcf_overlay as overlay;
 pub use omcf_routing as routing;

@@ -1,20 +1,5 @@
-//! Shared fixtures for the benchmark suite.
-//!
-//! Benches use [`omcf_sim::Scale::Micro`] instances so Criterion can
-//! iterate; the shape-faithful regeneration of each table/figure is the
-//! `repro` binary's job (`cargo run --release -p omcf-sim --bin repro`).
-
-use omcf_numerics::Xoshiro256pp;
-use omcf_overlay::{random_sessions, SessionSet};
-use omcf_topology::waxman::{self, WaxmanParams};
-use omcf_topology::Graph;
-
-/// A small Waxman graph + sessions fixture for substrate benches.
-#[must_use]
-pub fn fixture(n: usize, k: usize, size: usize, seed: u64) -> (Graph, SessionSet) {
-    let mut rng = Xoshiro256pp::new(seed);
-    let params = WaxmanParams { n, capacity: 100.0, ..WaxmanParams::default() };
-    let g = waxman::generate(&params, &mut rng);
-    let sessions = random_sessions(&g, k, size, 1.0, &mut rng);
-    (g, sessions)
-}
+//! The benchmark suite: each target under `benches/` times one layer and
+//! writes its `BENCH_*.json` at the workspace root, which
+//! `scripts/bench_check` compares against the committed numbers. The
+//! shape-faithful regeneration of each table and figure is the `repro`
+//! binary's job (`cargo run --release -p omcf-sim --bin repro`).

@@ -6,45 +6,6 @@
 //! compensation keeps the running error at a few ulps independent of the
 //! number of terms.
 
-/// Classic Kahan compensated accumulator.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KahanSum {
-    sum: f64,
-    comp: f64,
-}
-
-impl KahanSum {
-    /// New accumulator at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one term.
-    pub fn add(&mut self, v: f64) {
-        let y = v - self.comp;
-        let t = self.sum + y;
-        self.comp = (t - self.sum) - y;
-        self.sum = t;
-    }
-
-    /// Current compensated total.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.sum
-    }
-}
-
-impl FromIterator<f64> for KahanSum {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for v in iter {
-            s.add(v);
-        }
-        s
-    }
-}
-
 /// Neumaier's improvement to Kahan: robust when the incoming term is larger
 /// than the running sum (common when a few saturated links dominate).
 #[derive(Clone, Copy, Debug, Default)]
@@ -105,15 +66,15 @@ mod tests {
         // smaller count to keep the test fast but the effect visible.
         let n = 1_000_000usize;
         let mut naive = 1.0f64;
-        let mut kahan = KahanSum::new();
-        kahan.add(1.0);
+        let mut compensated = NeumaierSum::new();
+        compensated.add(1.0);
         for _ in 0..n {
             naive += 1e-16;
-            kahan.add(1e-16);
+            compensated.add(1e-16);
         }
         let expected = 1.0 + n as f64 * 1e-16;
         assert_eq!(naive, 1.0, "naive must lose the tail for this test to mean anything");
-        assert!((kahan.value() - expected).abs() < 1e-18);
+        assert!((compensated.value() - expected).abs() < 1e-18);
     }
 
     #[test]
@@ -129,8 +90,8 @@ mod tests {
     #[test]
     fn from_iterator_matches_manual() {
         let vals = [0.1, 0.2, 0.3, 0.4];
-        let a: KahanSum = vals.iter().copied().collect();
-        let mut b = KahanSum::new();
+        let a: NeumaierSum = vals.iter().copied().collect();
+        let mut b = NeumaierSum::new();
         for v in vals {
             b.add(v);
         }

@@ -11,8 +11,8 @@
 //!   exponent) with the handful of arithmetic operations the solvers need.
 //!   Solvers normally run on renormalized `f64` lengths; `Xf64` is the
 //!   independent oracle used by tests to prove the renormalization exact.
-//! * [`KahanSum`] / [`NeumaierSum`] — compensated accumulators used when
-//!   summing per-edge contributions of widely varying magnitude.
+//! * [`NeumaierSum`] — the compensated accumulator used when summing
+//!   per-edge contributions of widely varying magnitude.
 //! * [`rng`] — deterministic, seedable PRNG ([`rng::SplitMix64`],
 //!   [`rng::Xoshiro256pp`]) so every experiment in the paper reproduction is
 //!   replayable from a single `u64` seed.
@@ -33,7 +33,7 @@ pub mod simplex;
 pub mod stats;
 pub mod xf64;
 
-pub use kahan::{KahanSum, NeumaierSum};
+pub use kahan::NeumaierSum;
 pub use parallel::Parallelism;
 pub use rng::{Rng64, SplitMix64, Xoshiro256pp};
 pub use stats::{Cdf, Summary};
@@ -55,10 +55,6 @@ pub fn approx_eq(a: f64, b: f64, rel: f64) -> bool {
 pub fn approx_le(a: f64, b: f64, rel: f64) -> bool {
     a <= b + rel * a.abs().max(b.abs()).max(1.0)
 }
-
-/// Default relative tolerance for feasibility checks: the `rel` to hand
-/// [`approx_le`] when comparing a load against its capacity.
-pub const FEASIBILITY_RTOL: f64 = 1e-9;
 
 #[cfg(test)]
 mod tests {

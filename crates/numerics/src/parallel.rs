@@ -3,38 +3,33 @@
 //!
 //! Every parallel region takes its policy as one [`Parallelism`] value:
 //! the sweep driver (`SweepConfig::parallelism`), the replay checkpoint
-//! evaluation (`ReplayConfig::parallelism`), and the dynamic oracle's fan
-//! driver (`run_fan_chunks_with`, which reads it from the workspace pool).
-//! The vocabulary:
+//! evaluation (`ReplayConfig::parallelism`) and the fleet's shard drives
+//! (`FleetConfig::parallelism`). A policy only says how many workers a
+//! parallel call inside [`Parallelism::install`] gets. The vocabulary:
 //!
-//! * [`Parallelism::Serial`] — run on the calling thread, no pool at
-//!   all. This is the honest baseline benches compare against.
-//! * [`Parallelism::Threads`] — run on a pool of exactly `n` workers.
-//!   Pools are cached per thread count, so repeated calls with the same
-//!   `n` share one set of threads. `Threads(1)` is serial in effect and
-//!   runs inline like [`Parallelism::Serial`] — a one-worker pool could
-//!   overlap nothing anyway.
+//! * [`Parallelism::Serial`] — one worker: parallel calls run on the
+//!   calling thread. This is the honest baseline benches compare against.
+//! * [`Parallelism::Threads`] — exactly `n` workers per parallel call.
+//!   `Threads(1)` is serial in effect.
 //! * [`Parallelism::Auto`] (the default) — defer to the environment:
 //!   `OMCF_THREADS` if set (same vocabulary as the `--threads` CLI
-//!   flag), otherwise the machine's available parallelism. When the
-//!   caller is *already* on a pool worker — e.g. a fan-out inside a
-//!   sweep cell — `Auto` joins the ambient pool instead of hopping to
-//!   another one, so nested parallel regions cooperate on one set of
-//!   workers.
+//!   flag), otherwise the machine's available parallelism.
+//!
+//! A parallel call made on a worker of another one runs inline on that
+//! worker, whatever policy is installed there, so nested regions never
+//! multiply threads.
 //!
 //! The policy lives here in `omcf-numerics` (the workspace's bottom
-//! utility crate) so that `omcf-routing` can accept it without a
-//! dependency cycle; `omcf-core` re-exports it as
-//! `omcf_core::Parallelism`, which is the path downstream code should
-//! prefer.
+//! utility crate) so every crate can accept it without a dependency
+//! cycle; `omcf-core` re-exports it as `omcf_core::Parallelism`, which is
+//! the path downstream code should prefer.
 //!
 //! Whatever the policy, results are byte-identical: the rayon shim (and
 //! real rayon) merges parallel results in index order, so the policy
 //! only changes wall-clock time, never output.
 
-use std::collections::HashMap;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Environment variable consulted by [`Parallelism::Auto`] (and the
 /// `repro` CLI). Accepts the same vocabulary as [`Parallelism::parse`].
@@ -45,10 +40,9 @@ pub const THREADS_ENV: &str = "OMCF_THREADS";
 pub enum Parallelism {
     /// Plain sequential execution on the calling thread.
     Serial,
-    /// A work-stealing pool of exactly this many threads.
+    /// Exactly this many workers per parallel call.
     Threads(NonZeroUsize),
-    /// `OMCF_THREADS` if set, otherwise all available cores; joins the
-    /// ambient pool when already inside one.
+    /// `OMCF_THREADS` if set, otherwise all available cores.
     #[default]
     Auto,
 }
@@ -58,8 +52,8 @@ impl Parallelism {
     pub const VOCABULARY: &'static str = "`serial`, `auto`, or a positive thread count such as `4`";
 
     /// Parses the CLI/env vocabulary: `serial`, `auto`, or a positive
-    /// integer (`1` is accepted and equivalent to `serial`: both run on
-    /// the calling thread with no pool).
+    /// integer (`1` is accepted and equivalent to `serial`: both keep
+    /// parallel calls on the calling thread).
     pub fn parse(text: &str) -> Result<Self, String> {
         let t = text.trim();
         match t.to_ascii_lowercase().as_str() {
@@ -96,41 +90,26 @@ impl Parallelism {
         }
     }
 
-    /// Whether this policy executes on the calling thread with no pool.
-    /// `Threads(1)` is treated as serial (a one-worker pool cannot
-    /// overlap anything), and `Auto` is serial only when it resolves to
-    /// one thread *and* the caller is not already inside a pool (when it
-    /// is, `Auto` means "use the ambient workers").
+    /// Whether this policy resolves to one worker, so that its parallel
+    /// calls run on the calling thread.
     #[must_use]
     pub fn is_serial(self) -> bool {
-        match self {
-            Parallelism::Serial => true,
-            Parallelism::Threads(n) => n.get() == 1,
-            Parallelism::Auto => {
-                rayon::current_thread_index().is_none() && auto_threads().get() == 1
-            }
-        }
+        self.effective_threads().get() == 1
     }
 
-    /// Runs `body` under this policy: inline on the calling thread
-    /// whenever [`Parallelism::is_serial`] holds (so `Serial` really
-    /// means no pool — caller thread-locals stay visible and
-    /// `current_thread_index()` stays `None`) and for an ambient-pool
-    /// `Auto`, otherwise inside `install` on the (cached) pool of the
-    /// resolved size. `par_iter`/`join` calls inside `body` use that
-    /// pool.
+    /// Runs `body` on the calling thread with a pool of the resolved
+    /// worker count installed: `par_iter` calls inside `body` get that
+    /// many workers (one for a serial policy, so they stay on the caller).
     pub fn install<R, F>(self, body: F) -> R
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        if self.is_serial() {
-            return body();
-        }
-        match self {
-            Parallelism::Auto if rayon::current_thread_index().is_some() => body(),
-            _ => pool_handle(self.effective_threads().get()).install(body),
-        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(self.effective_threads().get())
+            .build()
+            .expect("building a thread pool cannot fail")
+            .install(body)
     }
 
     /// Human-readable form for CLI headers and logs: `serial`, `auto(8)`
@@ -158,7 +137,7 @@ impl std::str::FromStr for Parallelism {
     }
 }
 
-/// What `Auto` resolves to outside any pool, cached for the process
+/// What `Auto` resolves to, cached for the process
 /// lifetime (so a mid-run env change cannot make two halves of one
 /// artifact disagree).
 fn auto_threads() -> NonZeroUsize {
@@ -169,24 +148,6 @@ fn auto_threads() -> NonZeroUsize {
         Ok(Parallelism::Auto) => std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
         Err(message) => panic!("{message}"),
     })
-}
-
-/// Cached pools, one per worker count. The map lock guards only the
-/// lookup — the `Arc` is cloned out before `install` runs, so nested
-/// policies (a `Threads(2)` fan-out inside a `Threads(4)` sweep) cannot
-/// deadlock on it.
-fn pool_handle(threads: usize) -> Arc<rayon::ThreadPool> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = pools.lock().expect("pool cache poisoned");
-    Arc::clone(map.entry(threads).or_insert_with(|| {
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("building a thread pool cannot fail"),
-        )
-    }))
 }
 
 #[cfg(test)]
@@ -232,12 +193,7 @@ mod tests {
     #[test]
     fn install_runs_body_on_a_pool_of_the_requested_size() {
         let policy = Parallelism::Threads(NonZeroUsize::new(3).unwrap());
-        let (threads, index) =
-            policy.install(|| (rayon::current_num_threads(), rayon::current_thread_index()));
-        assert_eq!(threads, 3);
-        assert!(index.is_some(), "body must run on a pool worker");
-        // Outside again.
-        assert_eq!(rayon::current_thread_index(), None);
+        assert_eq!(policy.install(rayon::current_num_threads), 3);
     }
 
     #[test]
@@ -247,8 +203,8 @@ mod tests {
     }
 
     /// `Serial` (and `Threads(1)`) must run the body on the calling
-    /// thread itself — no pool, so thread-locals of the caller remain
-    /// visible and the body is not "inside a worker".
+    /// thread itself, so thread-locals of the caller remain visible and
+    /// the body is not "inside a worker".
     #[test]
     fn serial_install_runs_inline_on_the_calling_thread() {
         let caller = std::thread::current().id();
@@ -260,11 +216,22 @@ mod tests {
         }
     }
 
+    /// `Serial` inside a wider pool still keeps parallel calls on the
+    /// caller: every item runs there, with a worker count of one.
     #[test]
-    fn pools_are_cached_per_size() {
-        let a = super::pool_handle(2);
-        let b = super::pool_handle(2);
-        assert!(Arc::ptr_eq(&a, &b));
+    fn serial_install_keeps_parallel_calls_on_the_caller() {
+        use rayon::prelude::*;
+        let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("build pool");
+        let (caller, items) = four.install(|| {
+            let items: Vec<(Option<usize>, usize)> = Parallelism::Serial.install(|| {
+                (0..8usize)
+                    .into_par_iter()
+                    .map(|_| (rayon::current_thread_index(), rayon::current_num_threads()))
+                    .collect()
+            });
+            (rayon::current_thread_index(), items)
+        });
+        assert_eq!(items, vec![(caller, 1); 8]);
     }
 
     #[test]

@@ -470,11 +470,10 @@ fn empty_fans(m: usize) -> Vec<FanCache> {
 /// of the member that session attached at step r. The member attached
 /// last never runs a fan. Each round's fans, across all queried
 /// sessions, go through one [`run_fan_chunks_with`] call: one early-exit
-/// [`DijkstraWorkspace`] run per fan, rounds of more than eight fans
-/// split across the pool's [`Parallelism`](omcf_numerics::Parallelism)
-/// workers. Epoch-backed queries skip the Dijkstra for a fan whose cached
-/// entry avoids every edge touched since it was computed (exact under
-/// monotone length growth). Uncached and bypassed queries run the same
+/// [`DijkstraWorkspace`] run per fan, on the calling thread. Epoch-backed
+/// queries skip the Dijkstra for a fan whose cached entry avoids every
+/// edge touched since it was computed (exact under monotone length
+/// growth). Uncached and bypassed queries run the same
 /// rounds with scratch fans. Trees are bit-identical to Prim over full
 /// per-member Dijkstras: early exit settles each member exactly as a full
 /// run does.
@@ -537,9 +536,7 @@ impl DynamicOracle {
     /// (and handed back after every query) instead of a private pool.
     /// Drivers that solve many instances over same-sized graphs (the
     /// scenario sweep) share one pool so the dense Dijkstra buffers are
-    /// recycled across cells; the pool's
-    /// [`Parallelism`](omcf_numerics::Parallelism) policy also governs how
-    /// each round's fans are split across workers.
+    /// recycled across cells.
     #[must_use]
     pub fn with_pool(g: &Graph, sessions: &SessionSet, pool: Arc<WorkspacePool>) -> Self {
         Self::build(g, sessions, true, Some(pool))
@@ -623,13 +620,7 @@ impl DynamicOracle {
             if !stale.is_empty() {
                 let jobs: Vec<(NodeId, &[NodeId])> =
                     stale.iter().map(|&(q, a)| (members(q)[a], members(q))).collect();
-                let runs = run_fan_chunks_with(
-                    &self.g,
-                    &jobs,
-                    lengths,
-                    &self.pool,
-                    self.pool.parallelism(),
-                );
+                let runs = run_fan_chunks_with(&self.g, &jobs, lengths, &self.pool);
                 for (ws, &(q, a)) in runs.into_iter().zip(&stale) {
                     let fan = &mut fans[slot(q)][a];
                     fan.fill(&ws, members(q));

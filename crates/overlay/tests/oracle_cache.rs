@@ -5,7 +5,7 @@
 //! grow-only updates, an untouched cached route stays the deterministic
 //! shortest-path / minimum-spanning-tree winner.
 
-use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
+use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_overlay::{
     random_sessions, CacheStats, DynamicOracle, EdgeEpochs, FixedIpOracle, LengthView, OverlayHop,
     OverlayTree, Session, SessionSet, TreeOracle,
@@ -14,7 +14,6 @@ use omcf_routing::{dijkstra, WorkspacePool};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn graph(seed: u64, n: usize) -> Graph {
@@ -115,9 +114,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The dynamic oracle ≡ a full-fan reference, on the cached path, the
-    /// uncached path and a 4-worker pool. Every round queries all 9–12
-    /// sessions in one call, so the cold round packs more than 8 fans into
-    /// one parallel fan call, plus one repeated session id whose second
+    /// uncached path and a shared workspace pool. Every round queries all
+    /// 9–12 sessions in one call, so the cold round packs more than 8 fans
+    /// into one fan call, plus one repeated session id whose second
     /// occurrence reads its first occurrence's fans as hits.
     #[test]
     fn dynamic_oracle_matches_full_fan_reference(
@@ -128,8 +127,7 @@ proptest! {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xF00D);
         let sessions = mixed_sessions(&g, k, &mut rng);
-        let four = Parallelism::Threads(NonZeroUsize::new(4).expect("nonzero"));
-        let pool = Arc::new(WorkspacePool::new().with_parallelism(four));
+        let pool = Arc::new(WorkspacePool::new());
         let legs = [
             DynamicOracle::new(&g, &sessions),
             DynamicOracle::uncached(&g, &sessions),

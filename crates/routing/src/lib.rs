@@ -18,8 +18,8 @@
 //! resets, a multi-target early-exit entry point, and one binary heap;
 //! [`dijkstra()`] is the one-shot convenience wrapper around it.
 //! [`run_fan_chunks_with`] runs a round of early-exit fans, one
-//! workspace per `(source, targets)` job, over a [`WorkspacePool`] with
-//! a deterministic merge order, and [`reference::dijkstra_adjacency`]
+//! workspace per `(source, targets)` job, over a [`WorkspacePool`], in
+//! job order, and [`reference::dijkstra_adjacency`]
 //! keeps the frozen pre-CSR adjacency-list implementation as the
 //! bit-exactness oracle and bench baseline.
 

@@ -300,18 +300,9 @@ impl DijkstraWorkspace {
 /// Workspaces are pooled per node count; a lease for a size the pool has
 /// never seen simply allocates. The pool never shrinks on its own; callers
 /// that finish a sweep drop the pool (or call [`Self::clear`]).
-///
-/// The pool also carries the [`Parallelism`](omcf_numerics::Parallelism)
-/// policy the fan driver [`run_fan_chunks_with`](crate::run_fan_chunks_with)
-/// runs under — the pool is the one object every fan call already threads
-/// through, so it doubles as the policy carrier (default:
-/// [`Parallelism::Auto`](omcf_numerics::Parallelism::Auto), which joins
-/// the ambient pool when the fan-out happens inside a parallel sweep
-/// cell).
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: std::sync::Mutex<Vec<DijkstraWorkspace>>,
-    parallelism: omcf_numerics::Parallelism,
 }
 
 impl WorkspacePool {
@@ -321,17 +312,13 @@ impl WorkspacePool {
         Self::default()
     }
 
-    /// Sets the execution policy member fan-outs over this pool use.
+    /// Returns `self`: fans run serially whatever the policy. Kept only
+    /// because `perfbench/src/solve.rs` calls it, and `perfbench/` changes
+    /// only in a benchmark change; drop that call there, then this method.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_parallelism(mut self, parallelism: omcf_numerics::Parallelism) -> Self {
-        self.parallelism = parallelism;
+    pub fn with_parallelism(self, _parallelism: omcf_numerics::Parallelism) -> Self {
         self
-    }
-
-    /// The execution policy member fan-outs over this pool use.
-    #[must_use]
-    pub fn parallelism(&self) -> omcf_numerics::Parallelism {
-        self.parallelism
     }
 
     /// Leases a workspace sized for `n` nodes: recycles a pooled one of the

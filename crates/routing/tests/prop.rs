@@ -1,11 +1,9 @@
 //! Property-based tests for the routing substrate.
 
-use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
+use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_routing::dijkstra::{dijkstra, dijkstra_hops};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    run_fan_chunks_with, DijkstraWorkspace, FixedRoutes, ShortestPathTree, WorkspacePool,
-};
+use omcf_routing::{DijkstraWorkspace, FixedRoutes};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -27,43 +25,6 @@ fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// One round of `jobs` through the fan driver under `policy`, each
-/// job's workspace snapshotted whole (settled and tentative values
-/// alike, so the comparison covers every byte the run left behind) and
-/// handed back to `pool`.
-fn fan_round(
-    g: &Graph,
-    jobs: &[(NodeId, &[NodeId])],
-    lengths: &[f64],
-    pool: &WorkspacePool,
-    policy: Parallelism,
-) -> Vec<ShortestPathTree> {
-    run_fan_chunks_with(g, jobs, lengths, pool, policy)
-        .into_iter()
-        .map(|ws| {
-            let tree = ws.to_tree();
-            pool.give_back(ws);
-            tree
-        })
-        .collect()
-}
-
-/// More than eight `(source, targets)` jobs — enough that a threaded
-/// round splits across workers — each fanning to its own few targets.
-fn random_jobs(rng: &mut Xoshiro256pp, n: usize) -> Vec<(NodeId, Vec<NodeId>)> {
-    (0..9 + rng.index(8))
-        .map(|_| {
-            let src = NodeId(rng.index(n) as u32);
-            let targets = (0..1 + rng.index(4)).map(|_| NodeId(rng.index(n) as u32)).collect();
-            (src, targets)
-        })
-        .collect()
-}
-
-fn threads(n: usize) -> Parallelism {
-    Parallelism::Threads(std::num::NonZeroUsize::new(n).expect("nonzero"))
 }
 
 proptest! {
@@ -217,50 +178,6 @@ proptest! {
             prop_assert_eq!(ws.dist(t).to_bits(), reference.dist(t).to_bits());
             prop_assert_eq!(ws.path_to(t), reference.path_to(t));
         }
-    }
-
-    /// A fan round of more than eight jobs is byte-identical to the
-    /// serial loop — same workspaces, same order, at every tested thread
-    /// count (real worker pools with genuine stealing) — and each job's
-    /// targets match the adjacency reference bit-for-bit.
-    #[test]
-    fn parallel_fanout_byte_identical_to_serial(seed in any::<u64>(), n in 8usize..40) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 9);
-        let lengths = random_lengths(&g, &mut rng, 1);
-        let owned = random_jobs(&mut rng, n);
-        let jobs: Vec<(NodeId, &[NodeId])> = owned.iter().map(|(s, t)| (*s, &t[..])).collect();
-        let pool = WorkspacePool::new();
-        let ser = fan_round(&g, &jobs, &lengths, &pool, Parallelism::Serial);
-        prop_assert_eq!(ser.len(), jobs.len());
-        for threads_n in [1usize, 2, 4, 8] {
-            let counted = fan_round(&g, &jobs, &lengths, &pool, threads(threads_n));
-            prop_assert_eq!(&counted, &ser, "fan round diverged at {} threads", threads_n);
-        }
-        for (tree, (src, targets)) in ser.iter().zip(&owned) {
-            let reference = dijkstra_adjacency(&g, *src, &lengths);
-            for &t in targets {
-                prop_assert_eq!(tree.dist(t).to_bits(), reference.dist(t).to_bits());
-                prop_assert_eq!(tree.path_to(t), reference.path_to(t));
-            }
-        }
-    }
-
-    /// Repeated fan rounds at the same thread count are stable: stealing
-    /// order varies run to run, output must not.
-    #[test]
-    fn repeated_fanout_at_same_thread_count_is_stable(seed in any::<u64>(), n in 8usize..32) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 31);
-        let lengths = random_lengths(&g, &mut rng, 0);
-        let owned = random_jobs(&mut rng, n);
-        let jobs: Vec<(NodeId, &[NodeId])> = owned.iter().map(|(s, t)| (*s, &t[..])).collect();
-        let pool = WorkspacePool::new().with_parallelism(threads(4));
-        let first = fan_round(&g, &jobs, &lengths, &pool, pool.parallelism());
-        let second = fan_round(&g, &jobs, &lengths, &pool, pool.parallelism());
-        prop_assert_eq!(&first, &second, "repeated fan round at 4 threads is unstable");
-        let serial = fan_round(&g, &jobs, &lengths, &pool, Parallelism::Serial);
-        prop_assert_eq!(&first, &serial, "fan round at 4 threads diverged from serial");
     }
 
     /// Under uniform lengths scaled by any constant, the chosen routes'

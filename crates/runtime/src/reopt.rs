@@ -89,11 +89,7 @@ impl Reoptimizer {
         parallelism: Parallelism,
     ) -> Vec<DriftSample> {
         let eval = |cp: &Checkpoint| self.evaluate_one(cp, routing, rho);
-        if parallelism.is_serial() {
-            checkpoints.iter().map(eval).collect()
-        } else {
-            parallelism.install(|| checkpoints.par_iter().map(eval).collect())
-        }
+        parallelism.install(|| checkpoints.par_iter().map(eval).collect())
     }
 
     /// Evaluates one checkpoint.

@@ -257,8 +257,7 @@ impl SweepResults {
 /// the master seed either way); cells solve under
 /// [`SweepConfig::parallelism`], each against its own freshly
 /// built oracle, with dynamic-routing workspaces leased from one shared
-/// pool. The pool inherits the same policy, so per-cell member fan-outs
-/// join the sweep's workers instead of spawning their own.
+/// pool.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     assert!(!cfg.scenarios.is_empty(), "no scenarios selected");
@@ -274,8 +273,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     let cells: Vec<(usize, SolverKind)> =
         (0..instances.len()).flat_map(|ii| cfg.solvers.iter().map(move |&k| (ii, k))).collect();
 
-    let par = cfg.parallelism;
-    let pool = Arc::new(WorkspacePool::new().with_parallelism(par));
+    let pool = Arc::new(WorkspacePool::new());
     let solve_cell = |&(ii, kind): &(usize, SolverKind)| -> SweepRecord {
         let _span = omcf_telemetry::span("sweep.cell");
         let telemetry = omcf_telemetry::enabled();
@@ -303,11 +301,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
         SweepRecord::from_outcome(inst, *seed, &out, wall_ms)
     };
 
-    let records: Vec<SweepRecord> = if par.is_serial() {
-        cells.iter().map(solve_cell).collect()
-    } else {
-        par.install(|| cells.par_iter().map(solve_cell).collect())
-    };
+    let records: Vec<SweepRecord> =
+        cfg.parallelism.install(|| cells.par_iter().map(solve_cell).collect());
     SweepResults { records }
 }
 

@@ -93,8 +93,8 @@ fn replay_output_is_byte_identical_across_thread_counts() {
                 assert_eq!(ra.to_bits(), rb.to_bits(), "{}", spec.name);
             }
         }
-        // Repeat at one fixed count: stealing order varies between runs,
-        // the drift bytes must not.
+        // Repeat at one fixed count: which worker claims which
+        // checkpoint varies between runs, the drift bytes must not.
         let four = Parallelism::Threads(std::num::NonZeroUsize::new(4).expect("nonzero"));
         let a = replay_churn(Arc::clone(&inst.graph), churn, &base.with_parallelism(four));
         let b = replay_churn(Arc::clone(&inst.graph), churn, &base.with_parallelism(four));

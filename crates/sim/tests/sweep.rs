@@ -1,7 +1,7 @@
 //! Sweep-driver integration tests: the full registry runs, and the CSV
 //! is byte-identical across execution policies — serial, every tested
 //! thread count, and repeated runs at the same count (which would catch
-//! nondeterministic stealing-order leaks).
+//! leaks of the order in which workers claim cells).
 
 use omcf_core::solver::SolverKind;
 use omcf_core::Parallelism;
@@ -22,8 +22,8 @@ fn threads(n: usize) -> Parallelism {
 #[test]
 fn sweep_csv_is_byte_identical_across_thread_counts() {
     let base = SweepConfig::standard(Scale::Micro, vec![2004, 7]);
-    // Threads(1) takes the serial path (a one-worker pool cannot
-    // overlap); it doubles as the reference bytes here.
+    // Threads(1) takes the serial path (one worker cannot overlap
+    // anything); it doubles as the reference bytes here.
     let reference = run_sweep(&base.clone().with_parallelism(threads(1))).to_csv();
     assert_eq!(
         reference,
@@ -34,8 +34,8 @@ fn sweep_csv_is_byte_identical_across_thread_counts() {
         let cfg = base.clone().with_parallelism(threads(n));
         let first = run_sweep(&cfg).to_csv();
         assert_eq!(reference, first, "sweep at {n} threads diverged from serial bytes");
-        // Same count again: stealing order varies between runs, output
-        // must not.
+        // Same count again: which worker claims which cell varies
+        // between runs, output must not.
         let second = run_sweep(&cfg).to_csv();
         assert_eq!(first, second, "repeated sweep at {n} threads is unstable");
     }
@@ -59,9 +59,8 @@ fn heavy_scenarios_solve_online_and_deterministically() {
         assert!(r.throughput > 0.0, "{} routed nothing", r.scenario);
         assert!(r.max_congestion <= 1.0 + 1e-6, "{}", r.scenario);
     }
-    // Second run with a real worker pool: the byte-identical contract
-    // must hold on the heavy cells too (shared WorkspacePool under
-    // genuine work stealing).
+    // Second run on four concurrent workers: the byte-identical
+    // contract must hold on the heavy cells too (shared WorkspacePool).
     cfg = cfg.with_parallelism(threads(4));
     let again = run_sweep(&cfg);
     assert_eq!(res.to_csv(), again.to_csv(), "heavy parallel sweep diverged from serial");

@@ -5,8 +5,13 @@
 //! thread's span stack. Each thread accumulates `(count, ns)` per path
 //! in a thread-local map and flushes it into the global tree when its
 //! outermost span closes — so the global mutex is taken once per
-//! top-level span, not once per guard, and pool workers (which never
-//! exit) still publish everything they measured.
+//! top-level span, not once per guard.
+//!
+//! A span opened inside a parallel call's body roots at that body,
+//! whichever worker runs it. The calling thread is one of the call's
+//! workers, so its path leaves out the spans it opened outside the call;
+//! otherwise which items the caller happened to run would show in the
+//! paths.
 //!
 //! Determinism: span *counts* are Class::Count (the call tree is part of
 //! the algorithm's schedule-independent behaviour); span *times* are
@@ -26,7 +31,8 @@ struct SpanStat {
 static GLOBAL: Mutex<BTreeMap<String, SpanStat>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Open spans, each with the parallel-call worker index it opened under.
+    static STACK: RefCell<Vec<(&'static str, Option<usize>)>> = const { RefCell::new(Vec::new()) };
     static LOCAL: RefCell<BTreeMap<String, SpanStat>> = const { RefCell::new(BTreeMap::new()) };
 }
 
@@ -52,7 +58,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { start: None };
     }
-    STACK.with(|s| s.borrow_mut().push(name));
+    STACK.with(|s| s.borrow_mut().push((name, rayon::current_thread_index())));
     SpanGuard { start: Some(Instant::now()) }
 }
 
@@ -62,7 +68,9 @@ impl Drop for SpanGuard {
         let elapsed = start.elapsed().as_nanos() as u64;
         let depth = STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            let path = stack.join("/");
+            let worker = stack.last().and_then(|&(_, w)| w);
+            let root = stack.iter().rposition(|&(_, w)| w != worker).map_or(0, |i| i + 1);
+            let path = stack[root..].iter().map(|&(name, _)| name).collect::<Vec<_>>().join("/");
             stack.pop();
             LOCAL.with(|l| {
                 let mut local = l.borrow_mut();

@@ -1,90 +1,102 @@
-//! Offline shim for [rayon](https://crates.io/crates/rayon) — now with a
-//! real work-stealing thread pool.
+//! Offline shim for [rayon](https://crates.io/crates/rayon): the subset of
+//! its API this workspace uses, on [`std::thread::scope`].
 //!
-//! The build environment for this repository has no registry access, so
-//! this crate supplies the subset of rayon's API the workspace uses.
-//! Earlier revisions were sequential; this one genuinely runs work on
-//! multiple threads:
+//! * **A pool is a worker count.** [`ThreadPool::install`] runs its body
+//!   on the calling thread with that count in a thread-local, restored on
+//!   return and on unwind. The global count comes from
+//!   [`ThreadPoolBuilder::build_global`], else `RAYON_NUM_THREADS`, else
+//!   the machine's available parallelism.
+//! * **Each parallel call starts its own workers.** `collect` or
+//!   `for_each` on a `par_iter()` / `into_par_iter()` chain runs on
+//!   `k = min(count, items)` workers. The caller is worker 0, so only
+//!   `k − 1` scoped threads are spawned, and all of them have stopped when
+//!   the call returns.
+//! * **Claims start from the last index.** Workers take item indices from
+//!   one shared counter, last index first. That pays only while callers
+//!   list their costliest items last, so those start first: in the
+//!   scenario registry only quick cells follow `waxman-large`, the sweep's
+//!   heaviest, and part one's ratios ascend with their cost. A
+//!   longest-first order would need cost estimates (Graham, "Bounds on
+//!   multiprocessing timing anomalies", SIAM J. Appl. Math. 1969).
+//! * **Output is the sequential run's.** Results merge by item index, so
+//!   they are identical at any worker count.
+//! * **A parallel call made on a worker runs inline** on that worker.
+//! * **A panic in a body** is resumed on the caller with its own payload,
+//!   once every worker has stopped.
 //!
-//! * a **global, lazily-initialized pool** (sized by `RAYON_NUM_THREADS`
-//!   or the machine's available parallelism), plus explicit pools via
-//!   [`ThreadPoolBuilder`] and [`ThreadPool::install`];
-//! * [`join`] with **work stealing**: the second closure is pushed onto
-//!   the calling worker's deque where idle workers steal it from the
-//!   front, while the caller runs the first closure and then either pops
-//!   the second back (unstolen fast path) or helps execute other jobs
-//!   until the thief finishes;
-//! * real parallel `par_iter()` / `into_par_iter()` over slices,
-//!   vectors, arrays, and integer ranges, which **chunk by index and
-//!   merge in index order** — output is byte-identical to a sequential
-//!   run at any thread count (see `iter`).
-//!
-//! Only the API subset the workspace actually consumes is provided, and
-//! that subset matches rayon's signatures (including the `Send`/`Sync`
-//! bounds the sequential shim never needed), so swapping in the real
-//! crate remains a one-line change in the workspace manifest with no
-//! source edits.
-//!
-//! Panics inside `join` closures or `par_iter` bodies are caught on the
-//! executing worker, carried back, and resumed on the calling thread,
-//! matching rayon's behavior.
+//! The surface matches rayon's signatures, `Send`/`Sync` bounds included,
+//! so swapping in the real crate is a change to the workspace manifest
+//! alone.
 
-mod registry;
+#![forbid(unsafe_code)]
 
-pub mod iter;
-
-use std::sync::{Arc, OnceLock};
-
-use registry::{current_worker, Registry};
+use std::cell::Cell;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 pub mod prelude {
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice,
-    };
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 // ---------------------------------------------------------------------------
-// join
+// Where the calling thread stands
 // ---------------------------------------------------------------------------
 
-/// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
-/// results. On a pool worker, `oper_b` is exposed for stealing while the
-/// caller runs `oper_a`; on a plain thread the call hops onto the global
-/// pool first (initializing it if needed) and joins there, exactly as
-/// real rayon routes a bare `join` through its global registry — so
-/// `join` gains parallelism even outside `install`/`par_iter`.
-///
-/// If either closure panics, the panic is resumed on the caller after
-/// both branches have come to rest — a stolen `oper_b` borrows the
-/// caller's stack frame and must finish before `join` can unwind.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    match current_worker() {
-        Some((registry, index)) => registry.join_here(index, oper_a, oper_b),
-        None => global_registry().inject_and_wait(|| join(oper_a, oper_b)),
+#[derive(Clone, Copy)]
+struct Context {
+    /// Worker count set by the enclosing `install` or parallel call.
+    threads: Option<usize>,
+    /// This thread's worker index while it runs a parallel call.
+    index: Option<usize>,
+}
+
+thread_local! {
+    static CONTEXT: Cell<Context> = const { Cell::new(Context { threads: None, index: None }) };
+}
+
+/// Holds a context on this thread; the previous one returns on drop, so
+/// also on unwind.
+struct Enter(Context);
+
+impl Enter {
+    fn new(context: Context) -> Self {
+        Enter(CONTEXT.replace(context))
     }
+}
+
+impl Drop for Enter {
+    fn drop(&mut self) {
+        CONTEXT.set(self.0);
+    }
+}
+
+/// The worker count in effect here: the enclosing pool's, otherwise the
+/// global pool's.
+#[must_use]
+pub fn current_num_threads() -> usize {
+    CONTEXT.get().threads.unwrap_or_else(global_threads)
+}
+
+/// Index of the calling thread among the workers of the parallel call it
+/// is running, or `None` outside any call.
+#[must_use]
+pub fn current_thread_index() -> Option<usize> {
+    CONTEXT.get().index
 }
 
 // ---------------------------------------------------------------------------
 // Pools
 // ---------------------------------------------------------------------------
 
-/// Error returned when a pool cannot be built (matches
-/// `rayon::ThreadPoolBuildError` in name and role).
+/// Error returned when a pool cannot be built (`rayon::ThreadPoolBuildError`).
 #[derive(Debug)]
-pub struct ThreadPoolBuildError {
-    message: &'static str,
-}
+pub struct ThreadPoolBuildError(());
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.message)
+        f.write_str("the global thread pool has already been initialized")
     }
 }
 
@@ -99,12 +111,12 @@ pub struct ThreadPoolBuilder {
 impl ThreadPoolBuilder {
     #[must_use]
     pub fn new() -> Self {
-        ThreadPoolBuilder { num_threads: 0 }
+        Self::default()
     }
 
-    /// Sets the number of worker threads. Zero (the default) means
-    /// automatic: `RAYON_NUM_THREADS` if set to a positive integer,
-    /// otherwise the machine's available parallelism.
+    /// Sets the number of workers. Zero (the default) means automatic:
+    /// `RAYON_NUM_THREADS` if set to a positive integer, otherwise the
+    /// machine's available parallelism.
     #[must_use]
     pub fn num_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
@@ -115,307 +127,305 @@ impl ThreadPoolBuilder {
         if self.num_threads > 0 {
             return self.num_threads;
         }
-        if let Ok(value) = std::env::var("RAYON_NUM_THREADS") {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
+        match std::env::var("RAYON_NUM_THREADS").map(|v| v.trim().parse::<usize>()) {
+            Ok(Ok(n)) if n > 0 => n,
+            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
-    /// Builds a standalone pool. Its workers shut down when the pool is
-    /// dropped (after draining queued jobs).
+    /// Builds a pool. It starts no thread: each parallel call spawns its
+    /// own workers.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let registry = Registry::new(self.resolved_threads());
-        let handles = Registry::spawn_workers(&registry);
-        Ok(ThreadPool { registry, handles })
+        Ok(ThreadPool { threads: self.resolved_threads() })
     }
 
-    /// Installs this configuration as the global pool. Errors if the
-    /// global pool has already been initialized (by an earlier call or
-    /// lazily by first use), like rayon's.
+    /// Sets the global pool's count. Errors if the global pool has already
+    /// been set, by an earlier call or lazily by first use, like rayon's.
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let mut fresh = false;
-        let _ = GLOBAL.get_or_init(|| {
-            fresh = true;
-            self.build().expect("building the global pool cannot fail")
-        });
-        if fresh {
-            Ok(())
-        } else {
-            Err(ThreadPoolBuildError {
-                message: "the global thread pool has already been initialized",
-            })
-        }
+        GLOBAL.set(self.resolved_threads()).map_err(|_| ThreadPoolBuildError(()))
     }
 }
 
-/// A work-stealing thread pool (subset of `rayon::ThreadPool`).
+/// A worker count for the parallel calls made inside
+/// [`ThreadPool::install`] (subset of `rayon::ThreadPool`).
+#[derive(Debug)]
 pub struct ThreadPool {
-    registry: Arc<Registry>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    threads: usize,
 }
 
 impl ThreadPool {
-    /// Runs `op` on this pool and returns its result. `join` and
-    /// `par_iter` calls inside `op` use this pool's workers. If the
-    /// caller is already one of this pool's workers, `op` runs inline.
+    /// Runs `op` on the calling thread; parallel calls inside it get this
+    /// pool's worker count.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        match current_worker() {
-            Some((registry, _)) if std::ptr::eq(registry.id(), self.registry.id()) => op(),
-            _ => self.registry.inject_and_wait(op),
-        }
+        let _pool = Enter::new(Context { threads: Some(self.threads), ..CONTEXT.get() });
+        op()
     }
 
-    /// Number of worker threads in this pool.
+    /// Number of workers in this pool.
     #[must_use]
     pub fn current_num_threads(&self) -> usize {
-        self.registry.num_threads()
+        self.threads
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.registry.terminate();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+static GLOBAL: OnceLock<usize> = OnceLock::new();
+
+fn global_threads() -> usize {
+    *GLOBAL.get_or_init(|| ThreadPoolBuilder::new().resolved_threads())
+}
+
+// ---------------------------------------------------------------------------
+// Parallel iterators
+// ---------------------------------------------------------------------------
+
+/// A parallel iterator over a source's items, in index order (the part of
+/// `rayon::iter::ParallelIterator` the workspace calls).
+pub struct Iter<T> {
+    items: Vec<T>,
+}
+
+/// The parallel iterator [`Iter::map`] returns.
+pub struct Map<T, F> {
+    items: Vec<T>,
+    op: F,
+}
+
+impl<T: Send> Iter<T> {
+    /// Maps each item through `op` in parallel.
+    pub fn map<R, F>(self, op: F) -> Map<T, F>
+    where
+        F: Fn(T) -> R + Sync + Send,
+        R: Send,
+    {
+        Map { items: self.items, op }
+    }
+
+    /// Runs `op` on every item in parallel.
+    pub fn for_each<F>(self, op: F)
+    where
+        F: Fn(T) + Sync + Send,
+    {
+        run(self.items, &op);
+    }
+}
+
+impl<T: Send, R: Send, F: Fn(T) -> R + Sync + Send> Map<T, F> {
+    /// Collects the mapped items in index order.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        run(self.items, &self.op).into_iter().collect()
+    }
+}
+
+/// Conversion into a parallel iterator (`rayon::iter::IntoParallelIterator`).
+pub trait IntoParallelIterator {
+    type Item: Send;
+    fn into_par_iter(self) -> Iter<Self::Item>;
+}
+
+/// `.par_iter()` on `&self` (`rayon::iter::IntoParallelRefIterator`).
+pub trait IntoParallelRefIterator<'data> {
+    type Item: Send + 'data;
+    fn par_iter(&'data self) -> Iter<Self::Item>;
+}
+
+impl<'data, C: ?Sized + 'data> IntoParallelRefIterator<'data> for C
+where
+    &'data C: IntoParallelIterator,
+{
+    type Item = <&'data C as IntoParallelIterator>::Item;
+    fn par_iter(&'data self) -> Iter<Self::Item> {
+        self.into_par_iter()
+    }
+}
+
+impl<'data, T: Sync> IntoParallelIterator for &'data [T] {
+    type Item = &'data T;
+    fn into_par_iter(self) -> Iter<&'data T> {
+        Iter { items: self.iter().collect() }
+    }
+}
+
+impl<'data, T: Sync> IntoParallelIterator for &'data Vec<T> {
+    type Item = &'data T;
+    fn into_par_iter(self) -> Iter<&'data T> {
+        self.as_slice().into_par_iter()
+    }
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Item = T;
+    fn into_par_iter(self) -> Iter<T> {
+        Iter { items: self }
+    }
+}
+
+macro_rules! range_impl {
+    ($($ty:ty),*) => {$(
+        impl IntoParallelIterator for Range<$ty> {
+            type Item = $ty;
+            fn into_par_iter(self) -> Iter<$ty> {
+                Iter { items: self.collect() }
+            }
+        }
+    )*};
+}
+
+range_impl!(usize, u32, u64, i32, i64);
+
+/// Runs `op` on every item and returns the results in item order.
+fn run<T: Send, R: Send>(items: Vec<T>, op: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
+    let n = items.len();
+    let threads = current_num_threads();
+    let workers = threads.min(n);
+    if workers <= 1 || current_thread_index().is_some() {
+        return items.into_iter().map(op).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // The counter only hands out indices; each item passes through its
+    // slot's mutex, and each result through the worker's join.
+    let claimed = AtomicUsize::new(0);
+    let work = |index: usize| -> Vec<(usize, R)> {
+        let _worker = Enter::new(Context { threads: Some(threads), index: Some(index) });
+        let mut done = Vec::new();
+        loop {
+            let claim = claimed.fetch_add(1, Ordering::Relaxed);
+            if claim >= n {
+                return done;
+            }
+            let i = n - 1 - claim;
+            let item = slots[i].lock().expect("no slot lock is held across a panic").take();
+            done.push((i, op(item.expect("each index is claimed once"))));
+        }
+    };
+    let parts: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|index| scope.spawn(move || work(index))).collect();
+        let own = panic::catch_unwind(AssertUnwindSafe(|| work(0)));
+        std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())).collect()
+    });
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for part in parts {
+        for (i, r) in part.unwrap_or_else(|payload| panic::resume_unwind(payload)) {
+            results[i] = Some(r);
         }
     }
-}
-
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-
-/// The global pool's registry, initializing the pool on first use.
-pub(crate) fn global_registry() -> &'static Registry {
-    let pool =
-        GLOBAL.get_or_init(|| ThreadPoolBuilder::new().build().expect("building the global pool"));
-    &pool.registry
-}
-
-/// Number of threads in the current scope: the enclosing pool's size
-/// when called on a worker, otherwise the global pool's size
-/// (initializing it if needed).
-#[must_use]
-pub fn current_num_threads() -> usize {
-    match current_worker() {
-        Some((registry, _)) => registry.num_threads(),
-        None => global_registry().num_threads(),
-    }
-}
-
-/// Index of the calling thread within its pool, or `None` when the
-/// caller is not a pool worker. Useful to detect "am I already inside a
-/// parallel region".
-#[must_use]
-pub fn current_thread_index() -> Option<usize> {
-    current_worker().map(|(_, index)| index)
+    results.into_iter().map(|r| r.expect("every index was claimed")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::ThreadPoolBuilder;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
+    use super::{current_num_threads, current_thread_index, ThreadPool, ThreadPoolBuilder};
+    use std::sync::Barrier;
 
-    fn pool(n: usize) -> super::ThreadPool {
+    fn pool(n: usize) -> ThreadPool {
         ThreadPoolBuilder::new().num_threads(n).build().expect("build pool")
     }
 
     #[test]
-    fn par_iter_matches_iter() {
-        let v = vec![1, 2, 3, 4];
-        let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn par_chunks_matches_sequential_chunks() {
-        let v: Vec<usize> = (0..103).collect();
-        let p = pool(4);
-        let sums: Vec<usize> =
-            p.install(|| v.par_chunks(10).map(|c| c.iter().sum::<usize>()).collect());
-        let expected: Vec<usize> = v.chunks(10).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, expected, "chunk boundaries must match the sequential chunks");
-    }
-
-    #[test]
-    fn into_par_iter_on_range() {
-        let s: i64 = (0..100i64).into_par_iter().sum();
-        assert_eq!(s, 4950);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
-    }
-
-    /// A bare `join` from a non-worker thread routes through the global
-    /// pool (as real rayon does) instead of degrading to sequential.
-    #[test]
-    fn bare_join_lands_on_the_global_pool() {
-        assert_eq!(super::current_thread_index(), None);
-        let (index, _) = super::join(super::current_thread_index, || ());
-        assert!(index.is_some(), "bare join must run on a pool worker");
-    }
-
-    /// A worker of pool A blocked in `install` on pool B keeps helping
-    /// pool A: a job queued behind the cross-pool install still runs,
-    /// so cyclic cross-pool nesting cannot park both pools. Under the
-    /// old "park in latch.wait()" behavior the inner A-job would
-    /// deadlock — A's only worker is blocked on B while B's job waits
-    /// for A's result.
-    #[test]
-    fn cross_pool_install_keeps_helping_home_pool() {
-        let pool_a = pool(1);
-        let pool_b = pool(1);
-        let value = pool_a.install(|| {
-            pool_b.install(|| {
-                // Runs on B's worker; A's worker is blocked waiting on
-                // this install and must service A's injector meanwhile.
-                pool_a.install(|| 11) + 20
-            })
-        });
-        assert_eq!(value, 31);
-    }
-
-    /// Proves genuine concurrency: closure `a` spins until `b` has run.
-    /// Under the old sequential shim (a() then b()) this would time out.
-    #[test]
-    fn join_runs_closures_concurrently() {
-        let p = pool(2);
-        let flag = AtomicBool::new(false);
-        p.install(|| {
-            super::join(
-                || {
-                    let start = Instant::now();
-                    while !flag.load(Ordering::Acquire) {
-                        assert!(
-                            start.elapsed() < Duration::from_secs(10),
-                            "join branch b was never stolen: pool is not parallel"
-                        );
-                        std::thread::yield_now();
-                    }
-                },
-                || flag.store(true, Ordering::Release),
-            );
-        });
-    }
-
-    /// par_iter bodies really run on multiple distinct worker threads.
-    #[test]
-    fn par_iter_uses_multiple_workers() {
-        let p = pool(4);
-        let seen: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        p.install(|| {
-            (0..1000usize)
-                .into_par_iter()
-                .map(|i| {
-                    let w = super::current_thread_index().expect("on a worker");
-                    seen[w].fetch_add(1, Ordering::Relaxed);
-                    // Uneven work so stealing has something to rebalance.
-                    if i % 64 == 0 {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    i
-                })
-                .for_each(|_| {});
-        });
-        let active = seen.iter().filter(|c| c.load(Ordering::Relaxed) > 0).count();
-        assert!(active >= 2, "expected >= 2 workers to participate, saw {active}");
-    }
-
-    /// Index order of the merged output never depends on thread count or
-    /// stealing schedule.
-    #[test]
-    fn collect_is_ordered_at_every_thread_count() {
-        let expected: Vec<usize> = (0..997).map(|i| i * 3 + 1).collect();
+    fn collect_is_ordered_at_every_worker_count() {
         for threads in [1, 2, 4, 8] {
-            let p = pool(threads);
-            let got: Vec<usize> =
-                p.install(|| (0..997usize).into_par_iter().map(|i| i * 3 + 1).collect());
-            assert_eq!(got, expected, "order broke at {threads} threads");
+            for len in [0usize, 1, 2, 3, 17, 1024] {
+                let expected: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
+                let source: Vec<usize> = (0..len).collect();
+                let (from_vec, from_slice, from_range): (Vec<usize>, Vec<usize>, Vec<usize>) =
+                    pool(threads).install(|| {
+                        (
+                            source.clone().into_par_iter().map(|i| i * 3 + 1).collect(),
+                            source.par_iter().map(|&i| i * 3 + 1).collect(),
+                            (0..len).into_par_iter().map(|i| i * 3 + 1).collect(),
+                        )
+                    });
+                let at = format!("{threads} workers, {len} items");
+                assert_eq!(from_vec, expected, "Vec source at {at}");
+                assert_eq!(from_slice, expected, "slice source at {at}");
+                assert_eq!(from_range, expected, "range source at {at}");
+            }
         }
     }
 
-    /// Float summation folds sequentially, so the bits match serial.
+    /// Both items wait on one barrier, which only two workers running at
+    /// once can pass.
     #[test]
-    fn float_sum_is_deterministic() {
-        let values: Vec<f64> = (0..2048).map(|i| 1.0 / f64::from(i + 1)).collect();
-        let serial: f64 = values.iter().copied().sum();
-        let p = pool(8);
-        let parallel: f64 = p.install(|| values.par_iter().map(|&x| x).sum());
-        assert_eq!(serial.to_bits(), parallel.to_bits());
+    fn two_workers_run_at_once() {
+        let barrier = Barrier::new(2);
+        let indices: Vec<Option<usize>> = pool(2).install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|_| {
+                    barrier.wait();
+                    current_thread_index()
+                })
+                .collect()
+        });
+        let mut seen: Vec<usize> = indices.into_iter().map(|i| i.expect("on a worker")).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1]);
     }
 
     #[test]
-    fn join_propagates_panic_from_stolen_branch() {
-        let p = pool(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.install(|| {
-                super::join(|| 1, || -> i32 { panic!("branch b exploded") });
+    fn panic_payload_reaches_the_caller() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(usize);
+        let caught = std::panic::catch_unwind(|| {
+            pool(4).install(|| {
+                (0..64usize).into_par_iter().for_each(|i| {
+                    if i == 17 {
+                        std::panic::panic_any(Payload(i));
+                    }
+                });
             });
-        }));
-        assert!(result.is_err(), "panic in join branch must propagate");
+        })
+        .expect_err("a panicking body must panic the caller");
+        assert_eq!(caught.downcast_ref::<Payload>(), Some(&Payload(17)));
+        assert_eq!(current_thread_index(), None, "the caller's context is restored");
     }
 
     #[test]
-    fn par_iter_propagates_panic() {
-        let p = pool(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.install(|| {
-                let _: Vec<usize> = (0..100usize)
-                    .into_par_iter()
-                    .map(|i| if i == 63 { panic!("item 63") } else { i })
-                    .collect();
-            });
-        }));
-        assert!(result.is_err(), "panic in par_iter body must propagate");
-    }
-
-    /// Nested install on the same pool runs inline instead of
-    /// deadlocking the pool's own workers.
-    #[test]
-    fn nested_install_on_same_pool_is_inline() {
-        let p = pool(1);
-        let value = p.install(|| p.install(|| 7));
-        assert_eq!(value, 7);
+    fn nested_call_runs_inline_on_the_worker() {
+        let pairs: Vec<(Option<usize>, Vec<Option<usize>>)> = pool(2).install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|_| {
+                    let outer = current_thread_index();
+                    let inner = (0..4usize).into_par_iter().map(|_| current_thread_index());
+                    (outer, inner.collect())
+                })
+                .collect()
+        });
+        for (outer, inner) in pairs {
+            assert!(outer.is_some());
+            assert_eq!(inner, vec![outer; 4], "a nested call must stay on its worker");
+        }
     }
 
     #[test]
-    fn current_thread_index_inside_and_outside() {
-        assert_eq!(super::current_thread_index(), None);
-        let p = pool(3);
-        let idx = p.install(super::current_thread_index);
-        assert!(matches!(idx, Some(i) if i < 3));
-        assert_eq!(p.install(super::current_num_threads), 3);
+    fn index_and_count_inside_and_outside_a_call() {
+        assert_eq!(current_thread_index(), None);
+        let outside = current_num_threads();
+        let seen: Vec<(Option<usize>, usize)> = pool(3).install(|| {
+            assert_eq!(current_num_threads(), 3);
+            assert_eq!(current_thread_index(), None, "install does not make a worker");
+            (0..3usize)
+                .into_par_iter()
+                .map(|_| (current_thread_index(), current_num_threads()))
+                .collect()
+        });
+        for (index, threads) in seen {
+            assert!(matches!(index, Some(i) if i < 3));
+            assert_eq!(threads, 3);
+        }
+        assert_eq!(current_num_threads(), outside, "install restores the count");
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]
     fn second_build_global_errors() {
-        // Whichever test initializes the global pool first, the second
-        // explicit build_global must fail.
+        // Whichever call sets the global pool first, a second one fails.
         let _ = ThreadPoolBuilder::new().num_threads(2).build_global();
         assert!(ThreadPoolBuilder::new().num_threads(2).build_global().is_err());
-    }
-
-    /// Heavier randomized-shape check: many lengths, nested joins via
-    /// recursion, always index-ordered.
-    #[test]
-    fn ordered_merge_survives_stealing_pressure() {
-        let p = pool(4);
-        for len in [2usize, 3, 17, 64, 255, 1024, 4099] {
-            let expected: Vec<String> = (0..len).map(|i| format!("v{i}")).collect();
-            let got: Vec<String> =
-                p.install(|| (0..len).into_par_iter().map(|i| format!("v{i}")).collect());
-            assert_eq!(got, expected, "order broke at len {len}");
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Routing-core bench: CSR struct-of-arrays Dijkstra vs the frozen
-//! adjacency-list reference, and the fan driver, on the large-scale
-//! (≥2k-node) registry substrates. Emits
+//! adjacency-list reference, on the large-scale (≥2k-node) registry
+//! substrates. Emits
 //! `BENCH_routing.json` at the workspace root — the measured
 //! CSR-vs-adjacency speedup the CSR refactor is gated on — and asserts
 //! every implementation agrees bit-for-bit before timing it.
@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use omcf_numerics::{jsonfmt, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{dijkstra, run_fan_chunks_with, DijkstraWorkspace, WorkspacePool};
+use omcf_routing::{dijkstra, DijkstraWorkspace};
 use omcf_sim::registry;
 use omcf_sim::Scale;
 use omcf_topology::{Graph, NodeId};
@@ -88,26 +88,6 @@ fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
     acc
 }
 
-/// One fan round through the fan driver, every node a target of every
-/// job (whole trees), as the dynamic oracle runs it: one early-exit run
-/// per job. Passes the per-job workspaces to `check`, hands them back to
-/// `pool`, and returns the number of runs.
-fn run_fan(
-    g: &Graph,
-    jobs: &[(NodeId, &[NodeId])],
-    lengths: &[f64],
-    pool: &WorkspacePool,
-    check: impl Fn(&[DijkstraWorkspace]),
-) -> f64 {
-    let runs = run_fan_chunks_with(g, jobs, lengths, pool);
-    check(&runs);
-    let n = runs.len();
-    for ws in runs {
-        pool.give_back(ws);
-    }
-    n as f64
-}
-
 /// A labelled measurement routine.
 type Routine<'a> = (&'a str, Box<dyn FnMut() -> f64 + 'a>);
 
@@ -166,16 +146,12 @@ fn emit_bench_json(_c: &mut Criterion) {
         let mut rng = Xoshiro256pp::new(SEED ^ 0xC5);
         let lengths = solver_lengths(&g, &mut rng);
         let sources = scattered_sources(&g, &mut rng);
-        let all: Vec<NodeId> = g.nodes().collect();
-        let jobs: Vec<(NodeId, &[NodeId])> = sources.iter().map(|&s| (s, &all[..])).collect();
-        let pool = WorkspacePool::new();
 
-        // Bit-exactness gate before any timing: the workspace and the
-        // fan driver must reproduce the adjacency reference exactly.
-        let references: Vec<_> =
-            sources.iter().map(|&src| dijkstra_adjacency(&g, src, &lengths)).collect();
-        for (src, reference) in sources.iter().zip(&references) {
-            let tree = dijkstra(&g, *src, &lengths);
+        // Bit-exactness gate before any timing: the workspace must
+        // reproduce the adjacency reference exactly.
+        for &src in &sources {
+            let reference = dijkstra_adjacency(&g, src, &lengths);
+            let tree = dijkstra(&g, src, &lengths);
             for v in g.nodes() {
                 assert_eq!(
                     tree.dist(v).to_bits(),
@@ -184,23 +160,11 @@ fn emit_bench_json(_c: &mut Criterion) {
                 );
             }
         }
-        run_fan(&g, &jobs, &lengths, &pool, |runs| {
-            for (ws, reference) in runs.iter().zip(&references) {
-                for v in g.nodes() {
-                    assert_eq!(
-                        ws.dist(v).to_bits(),
-                        reference.dist(v).to_bits(),
-                        "{name}: the fan diverged from the adjacency reference"
-                    );
-                }
-            }
-        });
 
-        let (gr, so, le, jo, po) = (&g, &sources, &lengths, &jobs, &pool);
+        let (gr, so, le) = (&g, &sources, &lengths);
         let mut routines: Vec<Routine<'_>> = vec![
             ("adjacency", Box::new(|| run_adjacency(gr, so, le))),
             ("binary", Box::new(|| run_csr(gr, so, le))),
-            ("fanout_serial", Box::new(|| run_fan(gr, jo, le, po, |_| {}))),
         ];
         let medians = measure_all(&mut routines);
         let med = |label: &str| {
@@ -208,7 +172,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         };
         let adjacency_ms = med("adjacency");
         let csr_binary_ms = med("binary");
-        let fanout_serial_ms = med("fanout_serial");
         let obj = jsonfmt::JsonObject::new()
             .field("nodes", g.node_count().to_string())
             .field("edges", g.edge_count().to_string())
@@ -216,11 +179,10 @@ fn emit_bench_json(_c: &mut Criterion) {
             .field("adjacency_ms", jsonfmt::fixed(adjacency_ms, 3))
             .field("bit_identical", "true")
             .field("csr_binary_ms", jsonfmt::fixed(csr_binary_ms, 3))
-            .field("fanout_serial_ms", jsonfmt::fixed(fanout_serial_ms, 3))
             .field("speedup_csr_vs_adjacency", jsonfmt::fixed(adjacency_ms / csr_binary_ms, 3));
         println!(
             "bench routing_csr: {name} adjacency {adjacency_ms:.1} ms vs csr(binary) \
-             {csr_binary_ms:.1} ms ({:.2}x), fanout {fanout_serial_ms:.1} ms",
+             {csr_binary_ms:.1} ms ({:.2}x)",
             adjacency_ms / csr_binary_ms,
         );
         fixture_objs.push((name.to_string(), obj.pretty(1)));

@@ -365,11 +365,11 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     }
 
     /// One oracle sweep: the minimum trees of `session_ids`, in order, all
-    /// under the current lengths, issued as a single batched
-    /// [`TreeOracle::min_trees_view`] query so the oracle can recompute
-    /// stale member fans across sessions in shared fan rounds. Counts
-    /// one `mst_op` per session; results and cache accounting are
-    /// identical to calling [`Self::min_tree`] per id.
+    /// under the current lengths, issued as one
+    /// [`TreeOracle::min_trees_view`] call, so an oracle wrapper sees one
+    /// call per sweep. Counts one `mst_op` per session; results and
+    /// cache accounting are identical to calling [`Self::min_tree`] per
+    /// id.
     pub fn min_trees(&mut self, session_ids: &[usize]) -> Vec<OverlayTree> {
         self.state.mst_ops += session_ids.len() as u64;
         stats::ENGINE_ORACLE_CALLS.add(session_ids.len() as u64);
@@ -380,8 +380,8 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         )
     }
 
-    /// One oracle sweep over `session_ids` (via the batched
-    /// [`Self::min_trees`]), returning the tree of minimum *normalized*
+    /// One oracle sweep over `session_ids` (via [`Self::min_trees`]),
+    /// returning the tree of minimum *normalized*
     /// stored length (`norm(i) · length_i`; the first session wins ties)
     /// together with that length. Counts one `mst_op` per session.
     pub fn best_normalized_tree(

@@ -35,7 +35,6 @@ use crate::solution::{summarize, FlowSummary};
 use omcf_overlay::{
     ChurnEvent, ChurnSchedule, DynamicOracle, FixedIpOracle, SessionSet, TreeOracle, TreeStore,
 };
-use omcf_routing::WorkspacePool;
 use omcf_topology::Graph;
 use std::sync::Arc;
 
@@ -146,19 +145,6 @@ impl Instance {
         match self.routing {
             RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &self.sessions)),
             RoutingMode::Arbitrary => Box::new(DynamicOracle::new(&self.graph, &self.sessions)),
-        }
-    }
-
-    /// Like [`Self::oracle`], but a dynamic-routing oracle leases its
-    /// Dijkstra workspaces from `pool` (fixed-IP oracles have no
-    /// workspaces to lease and ignore the pool).
-    #[must_use]
-    pub fn oracle_pooled(&self, pool: &Arc<WorkspacePool>) -> Box<dyn TreeOracle + Send> {
-        match self.routing {
-            RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &self.sessions)),
-            RoutingMode::Arbitrary => {
-                Box::new(DynamicOracle::with_pool(&self.graph, &self.sessions, Arc::clone(pool)))
-            }
         }
     }
 }
@@ -528,16 +514,5 @@ mod tests {
         // Offline solvers answer for the same surviving population.
         let offline = SolverKind::M1.solver().run(&inst);
         assert_eq!(offline.summary.session_rates.len(), survivors);
-    }
-
-    #[test]
-    fn pooled_oracle_solves_identically() {
-        let inst = grid_instance(RoutingMode::Arbitrary);
-        let pool = Arc::new(WorkspacePool::new());
-        let pooled = SolverKind::M1.solver().solve(&inst, inst.oracle_pooled(&pool).as_ref());
-        let plain = SolverKind::M1.solver().run(&inst);
-        assert_eq!(pooled.summary.session_rates, plain.summary.session_rates);
-        assert_eq!(pooled.mst_ops, plain.mst_ops);
-        assert!(pool.idle() > 0, "fan workspaces must return to the pool");
     }
 }

@@ -21,8 +21,8 @@
 //! * [`jsonfmt`] — sorted-key JSON emission for the `BENCH_*.json` /
 //!   `sweep.json` artifacts (regeneration produces minimal diffs).
 //! * [`parallel`] — the [`Parallelism`] execution policy shared by every
-//!   parallel region (sweep driver, fan-out, reoptimizer). It lives in
-//!   this bottom-of-the-stack crate so `omcf-routing` can accept it
+//!   parallel region (sweep driver, replay checkpoints, fleet drives). It
+//!   lives in this bottom-of-the-stack crate so every crate can accept it
 //!   without a dependency cycle; `omcf-core` re-exports it.
 
 pub mod jsonfmt;

@@ -90,13 +90,6 @@ impl Parallelism {
         }
     }
 
-    /// Whether this policy resolves to one worker, so that its parallel
-    /// calls run on the calling thread.
-    #[must_use]
-    pub fn is_serial(self) -> bool {
-        self.effective_threads().get() == 1
-    }
-
     /// Runs `body` on the calling thread with a pool of the resolved
     /// worker count installed: `par_iter` calls inside `body` get that
     /// many workers (one for a serial policy, so they stay on the caller).
@@ -176,9 +169,11 @@ mod tests {
 
     #[test]
     fn serial_and_threads_one_are_serial() {
-        assert!(Parallelism::Serial.is_serial());
-        assert!(Parallelism::Threads(NonZeroUsize::MIN).is_serial());
-        assert!(!Parallelism::Threads(NonZeroUsize::new(4).unwrap()).is_serial());
+        for policy in [Parallelism::Serial, Parallelism::Threads(NonZeroUsize::MIN)] {
+            assert_eq!(policy.effective_threads(), NonZeroUsize::MIN, "{policy}");
+        }
+        let four = Parallelism::Threads(NonZeroUsize::new(4).unwrap());
+        assert_ne!(four.effective_threads(), NonZeroUsize::MIN);
     }
 
     #[test]
@@ -222,16 +217,15 @@ mod tests {
     fn serial_install_keeps_parallel_calls_on_the_caller() {
         use rayon::prelude::*;
         let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("build pool");
-        let (caller, items) = four.install(|| {
-            let items: Vec<(Option<usize>, usize)> = Parallelism::Serial.install(|| {
+        let items: Vec<(std::thread::ThreadId, usize)> = four.install(|| {
+            Parallelism::Serial.install(|| {
                 (0..8usize)
                     .into_par_iter()
-                    .map(|_| (rayon::current_thread_index(), rayon::current_num_threads()))
+                    .map(|_| (std::thread::current().id(), rayon::current_num_threads()))
                     .collect()
-            });
-            (rayon::current_thread_index(), items)
+            })
         });
-        assert_eq!(items, vec![(caller, 1); 8]);
+        assert_eq!(items, vec![(std::thread::current().id(), 1); 8]);
     }
 
     #[test]

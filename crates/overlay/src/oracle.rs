@@ -25,7 +25,7 @@
 use crate::epoch::{EdgeEpochs, LengthView};
 use crate::session::SessionSet;
 use crate::tree::{OverlayHop, OverlayTree};
-use omcf_routing::{run_fan_chunks_with, DijkstraWorkspace, FixedRoutes, Path, WorkspacePool};
+use omcf_routing::{DijkstraWorkspace, FixedRoutes, Path, WorkspacePool};
 use omcf_telemetry::{stats, OwnedCounter};
 use omcf_topology::{Graph, NodeId};
 use std::cell::{Cell, RefCell};
@@ -128,13 +128,11 @@ pub trait TreeOracle {
         self.min_tree(session_idx, view.lengths)
     }
 
-    /// Batched form of [`Self::min_tree_view`]: one tree per entry of
-    /// `session_ids`, in order, all under the same view — the engine
-    /// queries whole schedule rounds through this entry point. Results
-    /// and cache accounting are identical to calling
-    /// [`Self::min_tree_view`] once per id (which is exactly what this
-    /// default does); implementations may batch the underlying
-    /// shortest-path work across sessions.
+    /// One tree per entry of `session_ids`, in order, all under the same
+    /// view. The engine issues each schedule sweep as one call of this
+    /// method, so a wrapper (a timing probe, say) sees a sweep as one
+    /// call. The default calls [`Self::min_tree_view`] once per id; no
+    /// oracle here overrides it.
     fn min_trees_view(&self, session_ids: &[usize], view: LengthView<'_>) -> Vec<OverlayTree> {
         session_ids.iter().map(|&i| self.min_tree_view(i, view)).collect()
     }
@@ -163,8 +161,8 @@ pub struct CacheStats {
 /// attaches the cheapest fringe vertex (lowest index wins ties). So a
 /// row is read only after its member joins the tree, and the row of the
 /// member attached last is never read. [`prim_dense`] drives it from a
-/// weight closure; [`DynamicOracle`] steps many at once and computes only
-/// the fans the next step reads.
+/// weight closure; [`DynamicOracle`] computes each member's fan just
+/// before the step that reads it.
 struct Prim {
     in_tree: Vec<bool>,
     best: Vec<f64>,
@@ -465,21 +463,19 @@ fn empty_fans(m: usize) -> Vec<FanCache> {
 
 /// Oracle under **arbitrary dynamic routing** (§V): overlay edges follow the
 /// shortest path under the *current* lengths. Prim decides which
-/// Dijkstras run. A query advances one `Prim` per queried session in
-/// rounds: round 0 reads each session's member-0 fan, and round r the fan
-/// of the member that session attached at step r. The member attached
-/// last never runs a fan. Each round's fans, across all queried
-/// sessions, go through one [`run_fan_chunks_with`] call: one early-exit
-/// [`DijkstraWorkspace`] run per fan, on the calling thread. Epoch-backed
-/// queries skip the Dijkstra for a fan whose cached entry avoids every
-/// edge touched since it was computed (exact under monotone length
-/// growth). Uncached and bypassed queries run the same
-/// rounds with scratch fans. Trees are bit-identical to Prim over full
-/// per-member Dijkstras: early exit settles each member exactly as a full
-/// run does.
+/// Dijkstras run. A query steps one `Prim` over the session's members;
+/// each step reads the fan of the member attached last, starting with
+/// member 0, so the member attached last never runs a fan. A fan Prim
+/// reads is served from the epoch cache when no edge of its paths was
+/// touched since it was computed (exact under monotone length growth);
+/// otherwise it runs on the spot as one early-exit
+/// [`DijkstraWorkspace::run_targets`] on the oracle's own workspace.
+/// Uncached and bypassed queries run the same loop on scratch fans.
+/// Trees are bit-identical to Prim over full per-member Dijkstras: early
+/// exit settles each member exactly as a full run does.
 ///
 /// Like [`FixedIpOracle`], the oracle serves one run at a time and is
-/// `Send` but not `Sync` (its fans sit in a `RefCell`):
+/// `Send` but not `Sync` (its fans and workspace sit in `RefCell`s):
 ///
 /// ```compile_fail
 /// use omcf_overlay::{DynamicOracle, Session, SessionSet};
@@ -496,50 +492,44 @@ pub struct DynamicOracle {
     caching: bool,
     /// `fans[session][member]`.
     fans: RefCell<Vec<Vec<FanCache>>>,
+    /// The workspace every fan runs on. The first fan the oracle computes
+    /// allocates it, so building an oracle costs no per-node buffers; it
+    /// is boxed to keep the oracle small.
+    workspace: RefCell<Option<Box<DijkstraWorkspace>>>,
     hits: OwnedCounter,
     misses: OwnedCounter,
     bypass: BypassGauge,
-    /// Fan workspaces are leased from here around every query. Oracles
-    /// built via [`Self::with_pool`] share the sweep driver's
-    /// cross-instance pool; otherwise the oracle owns a private one so
-    /// scratch still persists across calls.
-    pool: Arc<WorkspacePool>,
 }
 
 impl DynamicOracle {
-    fn build(
-        g: &Graph,
-        sessions: &SessionSet,
-        caching: bool,
-        pool: Option<Arc<WorkspacePool>>,
-    ) -> Self {
+    fn build(g: &Graph, sessions: &SessionSet, caching: bool) -> Self {
         Self {
             g: g.clone(),
             sessions: sessions.clone(),
             caching,
             fans: RefCell::new(sessions.sessions().iter().map(|s| empty_fans(s.size())).collect()),
+            workspace: RefCell::new(None),
             hits: OwnedCounter::new(&stats::ORACLE_DYNAMIC_HITS),
             misses: OwnedCounter::new(&stats::ORACLE_DYNAMIC_MISSES),
             bypass: BypassGauge::sized_for(total_fans(sessions)),
-            pool: pool.unwrap_or_else(|| Arc::new(WorkspacePool::new())),
         }
     }
 
     /// Creates the oracle over a clone of the physical graph, with the
-    /// epoch-cached, workspace-reusing query path enabled.
+    /// epoch-cached query path enabled.
     #[must_use]
     pub fn new(g: &Graph, sessions: &SessionSet) -> Self {
-        Self::build(g, sessions, true, None)
+        Self::build(g, sessions, true)
     }
 
-    /// Like [`Self::new`], but fan workspaces are leased from `pool`
-    /// (and handed back after every query) instead of a private pool.
-    /// Drivers that solve many instances over same-sized graphs (the
-    /// scenario sweep) share one pool so the dense Dijkstra buffers are
-    /// recycled across cells.
+    /// Same as [`Self::new`]; the pool is ignored. Kept only because
+    /// `perfbench/src/solve.rs` calls it, and `perfbench/` changes only in
+    /// a benchmark change; build with `new` there, then drop this method
+    /// and `WorkspacePool`.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_pool(g: &Graph, sessions: &SessionSet, pool: Arc<WorkspacePool>) -> Self {
-        Self::build(g, sessions, true, Some(pool))
+    pub fn with_pool(g: &Graph, sessions: &SessionSet, _pool: Arc<WorkspacePool>) -> Self {
+        Self::new(g, sessions)
     }
 
     /// Like [`Self::new`] but with the epoch path disabled: every query
@@ -548,7 +538,7 @@ impl DynamicOracle {
     /// baseline.
     #[must_use]
     pub fn uncached(g: &Graph, sessions: &SessionSet) -> Self {
-        Self::build(g, sessions, false, None)
+        Self::build(g, sessions, false)
     }
 
     /// Cache hit/miss counts since construction, one per fan Prim reads
@@ -569,113 +559,68 @@ impl DynamicOracle {
         self.bypass.tripped()
     }
 
-    /// The one query routine behind every path: the trees of `session_ids`
-    /// under `lengths`, with Prim deciding which Dijkstras run. Each round
-    /// steps every unfinished session's [`Prim`] once. The fans it reads
-    /// come from `cache` (the oracle's fans, by session, probed against the
-    /// epoch clock) or, without one, from scratch fans per queried
-    /// session. Fans that cannot be served, all of the round's, are
-    /// computed in one [`run_fan_chunks_with`] call, each stopping once its
-    /// co-members are settled. On the cached path a repeated
-    /// session id reads the fans of its first occurrence, so its reads are
-    /// hits, as on an untouched re-query; scratch fans belong to one
-    /// queried position, so there a repeated id computes its own.
-    fn min_trees_rounds(
+    /// The one query routine behind every path: the tree of `session`
+    /// under `lengths`, with Prim deciding which Dijkstras run. `fans`
+    /// holds the session's fans by member: the oracle's cached ones,
+    /// probed against `epochs`, or scratch ones without a clock. A fan
+    /// Prim reads that cannot be served runs one early-exit Dijkstra to
+    /// the session's members and is refilled in place, and stamped when
+    /// there is a clock.
+    fn min_tree_fans(
         &self,
-        session_ids: &[usize],
+        session: usize,
         lengths: &[f64],
-        cache: Option<(&mut Vec<Vec<FanCache>>, &EdgeEpochs)>,
-    ) -> Vec<OverlayTree> {
-        let members = |q: usize| &self.sessions.session(session_ids[q]).members[..];
-        let mut scratch;
-        let (fans, epochs) = match cache {
-            Some((fans, epochs)) => (fans, Some(epochs)),
-            None => {
-                scratch = (0..session_ids.len()).map(|q| empty_fans(members(q).len())).collect();
-                (&mut scratch, None)
-            }
-        };
-        let slot = |q: usize| if epochs.is_some() { session_ids[q] } else { q };
-        let mut prims: Vec<Prim> =
-            (0..session_ids.len()).map(|q| Prim::new(members(q).len())).collect();
-        // Per round: the fans to compute, as (query, member).
-        let mut stale: Vec<(usize, usize)> = Vec::new();
-        while prims.iter().any(|p| p.reader().is_some()) {
-            stale.clear();
-            for (q, prim) in prims.iter().enumerate() {
-                let Some(a) = prim.reader() else { continue };
-                if let Some(epochs) = epochs {
-                    let served = fans[slot(q)][a].serves(epochs)
-                        || stale.iter().any(|&(p, b)| slot(p) == slot(q) && b == a);
-                    if served {
-                        self.hits.inc();
-                        self.bypass.on_hit();
-                        continue;
-                    }
+        fans: &mut [FanCache],
+        epochs: Option<&EdgeEpochs>,
+    ) -> OverlayTree {
+        let members = &self.sessions.session(session).members[..];
+        let mut prim = Prim::new(members.len());
+        while let Some(a) = prim.reader() {
+            let fan = &mut fans[a];
+            if epochs.is_some_and(|e| fan.serves(e)) {
+                self.hits.inc();
+                self.bypass.on_hit();
+            } else {
+                if epochs.is_some() {
                     self.bypass.on_miss();
                 }
                 self.misses.inc();
-                stale.push((q, a));
-            }
-            if !stale.is_empty() {
-                let jobs: Vec<(NodeId, &[NodeId])> =
-                    stale.iter().map(|&(q, a)| (members(q)[a], members(q))).collect();
-                let runs = run_fan_chunks_with(&self.g, &jobs, lengths, &self.pool);
-                for (ws, &(q, a)) in runs.into_iter().zip(&stale) {
-                    let fan = &mut fans[slot(q)][a];
-                    fan.fill(&ws, members(q));
-                    if let Some(epochs) = epochs {
-                        fan.stamp(epochs);
-                    }
-                    self.pool.give_back(ws);
+                let mut workspace = self.workspace.borrow_mut();
+                let ws = workspace
+                    .get_or_insert_with(|| Box::new(DijkstraWorkspace::new(self.g.node_count())));
+                ws.run_targets(&self.g, members[a], lengths, members);
+                fan.fill(ws, members);
+                if let Some(epochs) = epochs {
+                    fan.stamp(epochs);
                 }
             }
-            for (q, prim) in prims.iter_mut().enumerate() {
-                if let Some(a) = prim.reader() {
-                    let fan = &fans[slot(q)][a];
-                    prim.step(|b| fan.dists[b]);
-                }
-            }
+            prim.step(|b| fan.dists[b]);
         }
-        prims
+        let hops = prim
+            .edges
             .into_iter()
-            .enumerate()
-            .map(|(q, prim)| {
-                let fans = &fans[slot(q)];
-                let hops = prim
-                    .edges
-                    .into_iter()
-                    .map(|(a, b)| OverlayHop { a, b, path: fans[a].paths[b].clone() })
-                    .collect();
-                OverlayTree { session: session_ids[q], hops }
-            })
-            .collect()
+            .map(|(a, b)| OverlayHop { a, b, path: fans[a].paths[b].clone() })
+            .collect();
+        OverlayTree { session, hops }
     }
 }
 
 impl TreeOracle for DynamicOracle {
     fn min_tree(&self, session_idx: usize, lengths: &[f64]) -> OverlayTree {
-        self.min_trees_rounds(std::slice::from_ref(&session_idx), lengths, None)
-            .pop()
-            .expect("one tree per queried session")
+        let mut scratch = empty_fans(self.sessions.session(session_idx).size());
+        self.min_tree_fans(session_idx, lengths, &mut scratch, None)
     }
 
     fn min_tree_view(&self, session_idx: usize, view: LengthView<'_>) -> OverlayTree {
-        self.min_trees_view(std::slice::from_ref(&session_idx), view)
-            .pop()
-            .expect("one tree per queried session")
-    }
-
-    fn min_trees_view(&self, session_ids: &[usize], view: LengthView<'_>) -> Vec<OverlayTree> {
         let Some(epochs) = view.epochs.filter(|e| self.caching && !self.bypass.engaged(e.run_id()))
         else {
             if view.epochs.is_some() && self.caching {
-                stats::ORACLE_BYPASSED.add(session_ids.len() as u64);
+                stats::ORACLE_BYPASSED.inc();
             }
-            return self.min_trees_rounds(session_ids, view.lengths, None);
+            return self.min_tree(session_idx, view.lengths);
         };
         let mut fans = self.fans.borrow_mut();
-        self.min_trees_rounds(session_ids, view.lengths, Some((&mut fans, epochs)))
+        self.min_tree_fans(session_idx, view.lengths, &mut fans[session_idx], Some(epochs))
     }
 
     fn sessions(&self) -> &SessionSet {
@@ -1034,70 +979,6 @@ mod tests {
             || fixed.cache_bypassed(),
             || fixed.cache_stats(),
         );
-    }
-
-    #[test]
-    fn pooled_oracle_recycles_fan_workspaces() {
-        let g = canned::grid(4, 4, 10.0);
-        let sessions =
-            SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0)]);
-        let pool = Arc::new(WorkspacePool::new());
-        let epochs = EdgeEpochs::new(g.edge_count());
-        let lengths = unit_lengths(&g);
-        let oracle = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
-        let t = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        t.validate(sessions.session(0), &g);
-        // One workspace per fan of a round: a single session reads one fan
-        // per round, and each round hands its workspace back before the
-        // next leases it again.
-        assert_eq!(pool.idle(), 1, "the cold query's workspaces are back in the shared pool");
-        // The plain path leases the same workspace instead of allocating.
-        let _ = oracle.min_tree(0, &lengths);
-        assert_eq!(pool.idle(), 1, "plain path reuses the pooled workspace");
-        // A second pooled oracle reuses the pool and computes the same tree.
-        let oracle2 = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
-        let reference = DynamicOracle::new(&g, &sessions);
-        let t2 = oracle2.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        let tr = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        assert_eq!(t2, tr);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn batched_min_trees_view_matches_sequential_queries_and_counts() {
-        // Two oracles over the same instance: one queried through the
-        // batched entry point, one through per-session calls. Trees and
-        // hit/miss accounting must be identical, across a cold round, a
-        // warm round, and two partially-invalidated rounds.
-        let g = canned::grid(4, 4, 10.0);
-        let sessions = SessionSet::new(vec![
-            Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0),
-            Session::new(vec![NodeId(3), NodeId(12)], 1.0),
-            Session::new(vec![NodeId(1), NodeId(6), NodeId(11), NodeId(14)], 1.0),
-        ]);
-        let batched = DynamicOracle::new(&g, &sessions);
-        let sequential = DynamicOracle::new(&g, &sessions);
-        let ids = [0usize, 1, 2];
-        let mut lengths = unit_lengths(&g);
-        let mut epochs = EdgeEpochs::new(g.edge_count());
-        for round in 0..4 {
-            let view = LengthView::with_epochs(&lengths, &epochs);
-            let trees = batched.min_trees_view(&ids, view);
-            let refs: Vec<OverlayTree> =
-                ids.iter().map(|&i| sequential.min_tree_view(i, view)).collect();
-            assert_eq!(trees, refs, "round {round}");
-            assert_eq!(batched.cache_stats(), sequential.cache_stats(), "round {round}");
-            if round == 0 {
-                continue;
-            }
-            // Invalidate session 0's tree edges for the next round.
-            epochs.advance();
-            for e in trees[0].edge_multiplicities() {
-                lengths[e.0.idx()] *= 2.0;
-                epochs.touch(e.0.idx());
-            }
-        }
-        assert!(batched.cache_stats().hits > 0, "warm rounds must hit");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! inner loop walks the graph's struct-of-arrays
 //! [`CsrGraph`](omcf_topology::CsrGraph) (offsets/heads/edge-ids in
 //! contiguous arrays) and pushes and pops one concrete
-//! `std::collections::BinaryHeap`. This is the workspace's only engine:
-//! the oracles, [`FixedRoutes`](crate::FixedRoutes) and the fan driver
-//! [`run_fan_chunks_with`](crate::run_fan_chunks_with) all run it.
+//! `std::collections::BinaryHeap`. This is the only Dijkstra engine:
+//! [`FixedRoutes`](crate::FixedRoutes) and both oracles run it, the
+//! dynamic oracle one early-exit [`DijkstraWorkspace::run_targets`] per
+//! member fan, on one workspace it reuses for the whole run.
 //!
 //! Every entry point runs *exactly* the algorithm of the frozen
 //! adjacency-list reference ([`crate::reference::dijkstra_adjacency`]) —
@@ -289,70 +290,26 @@ impl DijkstraWorkspace {
     }
 }
 
-/// A shared pool of [`DijkstraWorkspace`]s for drivers that run many solver
-/// instances over same-sized graphs (the sweep driver): instead of every
-/// oracle allocating its per-member workspaces from scratch, it leases them
-/// here and hands them back after every query, so the dense slot buffers
-/// are recycled across cells. Lock contention is a non-issue: the
-/// pool is touched once per lease/return, not per Dijkstra run — workspaces
-/// are private to their holder between the two.
-///
-/// Workspaces are pooled per node count; a lease for a size the pool has
-/// never seen simply allocates. The pool never shrinks on its own; callers
-/// that finish a sweep drop the pool (or call [`Self::clear`]).
+/// No longer a pool: a unit struct kept only because
+/// `perfbench/src/solve.rs` builds one (and calls
+/// [`Self::with_parallelism`]) to pass to `DynamicOracle::with_pool`,
+/// which ignores it, and `perfbench/` changes only in a benchmark change.
+/// Build the oracle with `DynamicOracle::new` there, then drop this type.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: std::sync::Mutex<Vec<DijkstraWorkspace>>,
-}
+pub struct WorkspacePool;
 
 impl WorkspacePool {
-    /// An empty pool.
+    /// The unit value.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Returns `self`: fans run serially whatever the policy. Kept only
-    /// because `perfbench/src/solve.rs` calls it, and `perfbench/` changes
-    /// only in a benchmark change; drop that call there, then this method.
-    #[doc(hidden)]
+    /// Returns `self`.
     #[must_use]
     pub fn with_parallelism(self, _parallelism: omcf_numerics::Parallelism) -> Self {
         self
-    }
-
-    /// Leases a workspace sized for `n` nodes: recycles a pooled one of the
-    /// exact size if available, otherwise allocates fresh.
-    #[must_use]
-    pub fn lease(&self, n: usize) -> DijkstraWorkspace {
-        stats::ROUTING_POOL_LEASES.inc();
-        let mut free = self.free.lock().expect("workspace pool poisoned");
-        if let Some(pos) = free.iter().position(|ws| ws.node_count() == n) {
-            free.swap_remove(pos)
-        } else {
-            // Cache-miss allocation: whether the free list was empty here
-            // depends on thread interleaving, hence the Wall-class counter.
-            stats::ROUTING_POOL_ALLOCS.inc();
-            DijkstraWorkspace::new(n)
-        }
-    }
-
-    /// Returns a workspace to the pool for future leases. The workspace's
-    /// generation stamps make any prior contents unreadable to the next
-    /// holder — no reset pass is needed.
-    pub fn give_back(&self, ws: DijkstraWorkspace) {
-        self.free.lock().expect("workspace pool poisoned").push(ws);
-    }
-
-    /// Number of idle pooled workspaces.
-    #[must_use]
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("workspace pool poisoned").len()
-    }
-
-    /// Drops all pooled workspaces.
-    pub fn clear(&self) {
-        self.free.lock().expect("workspace pool poisoned").clear();
     }
 }
 
@@ -449,45 +406,6 @@ mod tests {
             assert_eq!(owned.path_to(n), fresh.path_to(n));
         }
         assert!(!owned.reachable(NodeId(1)));
-    }
-
-    #[test]
-    fn pool_recycles_matching_sizes_only() {
-        let pool = WorkspacePool::new();
-        let a = pool.lease(10);
-        assert_eq!(a.node_count(), 10);
-        pool.give_back(a);
-        assert_eq!(pool.idle(), 1);
-        // Mismatched size: fresh allocation, pooled one stays idle.
-        let b = pool.lease(20);
-        assert_eq!(b.node_count(), 20);
-        assert_eq!(pool.idle(), 1);
-        // Matching size: recycled.
-        let c = pool.lease(10);
-        assert_eq!(c.node_count(), 10);
-        assert_eq!(pool.idle(), 0);
-        pool.give_back(b);
-        pool.give_back(c);
-        assert_eq!(pool.idle(), 2);
-        pool.clear();
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn recycled_workspace_computes_identically() {
-        let g = canned::grid(4, 4, 1.0);
-        let lengths: Vec<f64> = (0..g.edge_count()).map(|e| 1.0 + (e % 4) as f64).collect();
-        let pool = WorkspacePool::new();
-        let mut first = pool.lease(g.node_count());
-        first.run(&g, NodeId(3), &lengths);
-        pool.give_back(first);
-        let mut again = pool.lease(g.node_count());
-        again.run(&g, NodeId(0), &lengths);
-        let fresh = dijkstra(&g, NodeId(0), &lengths);
-        for n in g.nodes() {
-            assert_eq!(again.dist(n), fresh.dist(n));
-            assert_eq!(again.path_to(n), fresh.path_to(n));
-        }
     }
 
     #[test]

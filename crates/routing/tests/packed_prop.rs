@@ -1,10 +1,11 @@
-//! Property-based tests pinning the packed-slot relaxation state and the
-//! fan driver to the frozen adjacency-list reference.
+//! Property-based tests pinning the packed-slot relaxation state and
+//! member fans to the frozen adjacency-list reference.
 //!
 //! `DijkstraWorkspace` keeps its per-node relaxation state (distance,
 //! parent edge, parent node, generation word) in one cache-line-friendly
-//! SoA-of-structs slab, and the fan driver runs one early-exit workspace
-//! per job. Neither may move a single bit: every test below compares
+//! SoA-of-structs slab, and the dynamic oracle runs every member fan as
+//! one early-exit `run_targets` on one workspace it reuses. Neither may
+//! move a single bit: every test below compares
 //! `to_bits` on distances and exact path equality against
 //! `reference::dijkstra_adjacency` — the pre-refactor adjacency-list
 //! implementation kept frozen precisely to pin layouts like this one —
@@ -12,7 +13,7 @@
 
 use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{run_fan_chunks_with, WorkspacePool};
+use omcf_routing::DijkstraWorkspace;
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -41,9 +42,10 @@ fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Whole-tree fans: every job targets every node, so each run settles
+    /// Whole-tree fans: every fan targets every node, so each run settles
     /// its whole reachable tree, and every node matches the adjacency
-    /// reference bit for bit on both length profiles.
+    /// reference bit for bit on both length profiles. One workspace runs
+    /// every fan of both rounds, so no run may read another's state.
     #[test]
     fn fan_whole_trees_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
@@ -51,12 +53,11 @@ proptest! {
         let members: Vec<NodeId> =
             (0..6.min(n)).map(|_| NodeId(rng.index(n) as u32)).collect();
         let all: Vec<NodeId> = g.nodes().collect();
-        let jobs: Vec<(NodeId, &[NodeId])> = members.iter().map(|&m| (m, &all[..])).collect();
-        let pool = WorkspacePool::new();
+        let mut ws = DijkstraWorkspace::new(g.node_count());
         for round in 0..2u32 {
             let lengths = random_lengths(&g, &mut rng, round);
-            let runs = run_fan_chunks_with(&g, &jobs, &lengths, &pool);
-            for (ws, &src) in runs.iter().zip(&members) {
+            for &src in &members {
+                ws.run_targets(&g, src, &lengths, &all);
                 let reference = dijkstra_adjacency(&g, src, &lengths);
                 for v in g.nodes() {
                     prop_assert_eq!(
@@ -68,16 +69,13 @@ proptest! {
                     prop_assert_eq!(ws.path_to(v), reference.path_to(v));
                 }
             }
-            for ws in runs {
-                pool.give_back(ws);
-            }
         }
     }
 
     /// Early-exit fans (the oracle recompute shape): each job's settled
     /// targets carry exactly the reference's distance bits and paths. One
     /// job targets every node, so whole trees stay pinned next to the
-    /// early exits.
+    /// early exits, and one workspace runs every job in turn.
     #[test]
     fn fan_chunks_bit_identical_on_targets(seed in any::<u64>(), n in 10usize..40) {
         let g = graph(seed, n);
@@ -85,7 +83,7 @@ proptest! {
         let lengths = random_lengths(&g, &mut rng, 0);
         // Nine jobs, each fanning to its own small target set, plus one
         // whole-tree job.
-        let mut jobs_owned: Vec<(NodeId, Vec<NodeId>)> = (0..9)
+        let mut jobs: Vec<(NodeId, Vec<NodeId>)> = (0..9)
             .map(|_| {
                 let src = NodeId(rng.index(n) as u32);
                 let tgts: Vec<NodeId> =
@@ -93,13 +91,10 @@ proptest! {
                 (src, tgts)
             })
             .collect();
-        jobs_owned.push((NodeId(rng.index(n) as u32), g.nodes().collect()));
-        let jobs: Vec<(NodeId, &[NodeId])> =
-            jobs_owned.iter().map(|(s, t)| (*s, t.as_slice())).collect();
-        let pool = WorkspacePool::new();
-        let runs = run_fan_chunks_with(&g, &jobs, &lengths, &pool);
-        prop_assert_eq!(runs.len(), jobs.len());
-        for (ws, (src, tgts)) in runs.iter().zip(&jobs_owned) {
+        jobs.push((NodeId(rng.index(n) as u32), g.nodes().collect()));
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        for (src, tgts) in &jobs {
+            ws.run_targets(&g, *src, &lengths, tgts);
             let reference = dijkstra_adjacency(&g, *src, &lengths);
             for &t in tgts {
                 prop_assert_eq!(

@@ -29,11 +29,12 @@
 //! of silently no-opping it.
 //!
 //! `--threads` picks the execution policy for every parallel region
-//! (sweep cells, member fan-outs, drift evaluation): a positive count,
-//! `serial`, or `auto` (all cores). Precedence: the flag beats the
-//! `OMCF_THREADS` environment variable, which beats the `auto` default.
-//! Every artifact is byte-identical under every policy — threads change
-//! wall-clock time only (see docs/PERF.md).
+//! (sweep cells, the experiments' independent runs, drift evaluation,
+//! fleet drives): a positive count, `serial`, or `auto` (all cores).
+//! Precedence: the flag beats the `OMCF_THREADS` environment variable,
+//! which beats the `auto` default. Every artifact is byte-identical
+//! under every policy — threads change wall-clock time only (see
+//! docs/PERF.md).
 
 use omcf_core::solver::SolverKind;
 use omcf_core::Parallelism;
@@ -244,7 +245,7 @@ fn main() {
     }
     // Size the shim's lazily-built global pool to the chosen policy so
     // the experiments modules' bare `par_iter` calls follow it too (the
-    // sweep/fan-out/replay paths carry the policy explicitly). First
+    // sweep, replay and fleet paths carry the policy explicitly). First
     // initialization wins, so this must happen before any parallel work.
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(cli.parallelism.effective_threads().get())

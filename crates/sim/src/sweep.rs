@@ -14,20 +14,16 @@
 //! (scenario, seed) with all randomness forked from the master seed via
 //! `SplitMix64::derive_seed`; every cell gets its own oracle (no shared
 //! mutable caches across cells); and results are collected in cell-index
-//! order, so thread scheduling cannot reorder rows. Dynamic-routing cells
-//! lease their Dijkstra workspaces from one shared
-//! [`WorkspacePool`], recycling the dense buffers across cells.
+//! order, so thread scheduling cannot reorder rows.
 
 use crate::registry::{self, ScenarioSpec};
 use crate::scenarios::Scale;
 use omcf_core::solver::{Instance, SolverKind, SolverOutcome};
 use omcf_core::Parallelism;
 use omcf_numerics::jsonfmt;
-use omcf_routing::WorkspacePool;
 use omcf_telemetry::stats;
 use rayon::prelude::*;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What to sweep.
@@ -256,8 +252,7 @@ impl SweepResults {
 /// Runs the sweep. Instances are built serially (they are deterministic in
 /// the master seed either way); cells solve under
 /// [`SweepConfig::parallelism`], each against its own freshly
-/// built oracle, with dynamic-routing workspaces leased from one shared
-/// pool.
+/// built oracle.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     assert!(!cfg.scenarios.is_empty(), "no scenarios selected");
@@ -273,7 +268,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     let cells: Vec<(usize, SolverKind)> =
         (0..instances.len()).flat_map(|ii| cfg.solvers.iter().map(move |&k| (ii, k))).collect();
 
-    let pool = Arc::new(WorkspacePool::new());
     let solve_cell = |&(ii, kind): &(usize, SolverKind)| -> SweepRecord {
         let _span = omcf_telemetry::span("sweep.cell");
         let telemetry = omcf_telemetry::enabled();
@@ -288,7 +282,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
         let out = if kind == SolverKind::Online && inst.churn.is_some() {
             kind.solver().run(inst)
         } else {
-            let oracle = inst.oracle_pooled(&pool);
+            let oracle = inst.oracle();
             kind.solver().solve(inst, oracle.as_ref())
         };
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

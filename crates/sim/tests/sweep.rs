@@ -60,7 +60,7 @@ fn heavy_scenarios_solve_online_and_deterministically() {
         assert!(r.max_congestion <= 1.0 + 1e-6, "{}", r.scenario);
     }
     // Second run on four concurrent workers: the byte-identical
-    // contract must hold on the heavy cells too (shared WorkspacePool).
+    // contract must hold on the heavy cells too.
     cfg = cfg.with_parallelism(threads(4));
     let again = run_sweep(&cfg);
     assert_eq!(res.to_csv(), again.to_csv(), "heavy parallel sweep diverged from serial");

@@ -8,10 +8,11 @@
 //! top-level span, not once per guard.
 //!
 //! A span opened inside a parallel call's body roots at that body,
-//! whichever worker runs it. The calling thread is one of the call's
-//! workers, so its path leaves out the spans it opened outside the call;
-//! otherwise which items the caller happened to run would show in the
-//! paths.
+//! whichever worker runs it and at every worker count. The calling thread
+//! is one of the call's workers (the only one when the call gets one), so
+//! its path leaves out the spans it opened outside the call; otherwise
+//! which items the caller happened to run, or the policy, would show in
+//! the paths.
 //!
 //! Determinism: span *counts* are Class::Count (the call tree is part of
 //! the algorithm's schedule-independent behaviour); span *times* are

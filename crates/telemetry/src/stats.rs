@@ -49,7 +49,7 @@ pub static ORACLE_FIXED_MISSES: Counter = Counter::new("oracle.fixed.cache.misse
 /// Queries that skipped cache probing because the auto-bypass engaged.
 pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Class::Count);
 
-// --- routing (CSR Dijkstra + workspace pool, omcf-routing) ------------
+// --- routing (CSR Dijkstra, omcf-routing) -------------------------------
 
 /// Dijkstra runs (one per workspace run).
 pub static ROUTING_DIJKSTRA_RUNS: Counter = Counter::new("routing.dijkstra.runs", Class::Count);
@@ -59,12 +59,6 @@ pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Cl
 pub static ROUTING_HEAP_POPS: Counter = Counter::new("routing.heap.pops", Class::Count);
 /// Arcs examined by settled-node relaxation scans.
 pub static ROUTING_RELAXATIONS: Counter = Counter::new("routing.relaxations", Class::Count);
-/// Workspace-pool leases. Lease counts are schedule-independent;
-/// *allocation* counts below are not.
-pub static ROUTING_POOL_LEASES: Counter = Counter::new("routing.pool.leases", Class::Count);
-/// Pool leases that had to allocate because the free list was empty —
-/// depends on thread interleaving, hence Wall class.
-pub static ROUTING_POOL_ALLOCS: Counter = Counter::new("routing.pool.allocs", Class::Wall);
 
 // --- runtime (event loop, omcf-runtime) -------------------------------
 

@@ -108,29 +108,34 @@ fn spans_nest_into_slash_paths_and_merge_sorted() {
     assert!(snap.spans.iter().all(|s| s.total_ns > 0));
 }
 
-/// The caller runs one item as worker 0 and a spawned worker the other
-/// (the barrier needs both at once), yet both items' spans root at the
-/// parallel body rather than under the caller's open span.
+/// On two workers the caller runs one item as worker 0 and a spawned
+/// worker the other (the barrier needs both at once); on one worker the
+/// caller runs both. Either way both items' spans root at the parallel
+/// body rather than under the caller's open span.
 #[test]
 fn spans_in_a_parallel_body_root_at_the_body_on_every_worker() {
     use rayon::prelude::*;
-    let barrier = std::sync::Barrier::new(2);
-    let two = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("build pool");
-    let snap = with_telemetry(|| {
-        {
-            let _outer = tm::span("outer");
-            two.install(|| {
-                (0..2u32).into_par_iter().for_each(|_| {
-                    barrier.wait();
-                    let _item = tm::span("item");
-                    let _step = tm::span("step");
+    for threads in [1, 2] {
+        let barrier = std::sync::Barrier::new(threads);
+        let pool =
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("build pool");
+        let snap = with_telemetry(|| {
+            {
+                let _outer = tm::span("outer");
+                pool.install(|| {
+                    (0..2u32).into_par_iter().for_each(|_| {
+                        barrier.wait();
+                        let _item = tm::span("item");
+                        let _step = tm::span("step");
+                    });
                 });
-            });
-        }
-        tm::snapshot()
-    });
-    let paths: Vec<(&str, u64)> = snap.spans.iter().map(|s| (s.path.as_str(), s.count)).collect();
-    assert_eq!(paths, vec![("item", 2), ("item/step", 2), ("outer", 1)]);
+            }
+            tm::snapshot()
+        });
+        let paths: Vec<(&str, u64)> =
+            snap.spans.iter().map(|s| (s.path.as_str(), s.count)).collect();
+        assert_eq!(paths, vec![("item", 2), ("item/step", 2), ("outer", 1)], "{threads} workers");
+    }
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //!   `for_each` on a `par_iter()` / `into_par_iter()` chain runs on
 //!   `k = min(count, items)` workers. The caller is worker 0, so only
 //!   `k − 1` scoped threads are spawned, and all of them have stopped when
-//!   the call returns.
+//!   the call returns. A one-worker call too runs on the caller as worker
+//!   0, so its body reads [`current_thread_index`] `Some(0)`, as on a
+//!   one-thread rayon pool, whatever the worker count.
 //! * **Claims start from the last index.** Workers take item indices from
 //!   one shared counter, last index first. That pays only while callers
 //!   list their costliest items last, so those start first: in the
@@ -281,7 +283,11 @@ fn run<T: Send, R: Send>(items: Vec<T>, op: &(impl Fn(T) -> R + Sync)) -> Vec<R>
     let n = items.len();
     let threads = current_num_threads();
     let workers = threads.min(n);
-    if workers <= 1 || current_thread_index().is_some() {
+    if current_thread_index().is_some() {
+        return items.into_iter().map(op).collect();
+    }
+    if workers <= 1 {
+        let _worker = Enter::new(Context { threads: Some(threads), index: Some(0) });
         return items.into_iter().map(op).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -420,6 +426,27 @@ mod tests {
         }
         assert_eq!(current_num_threads(), outside, "install restores the count");
         assert_eq!(current_thread_index(), None);
+    }
+
+    /// One worker, from a one-thread pool or a single item: the caller
+    /// runs the items as worker 0, then gets its own context back.
+    #[test]
+    fn one_worker_call_runs_on_the_caller_as_worker_zero() {
+        let caller = std::thread::current().id();
+        for (threads, len) in [(1, 5usize), (4, 1)] {
+            let (seen, after) = pool(threads).install(|| {
+                let seen: Vec<_> = (0..len)
+                    .into_par_iter()
+                    .map(|_| {
+                        (std::thread::current().id(), current_thread_index(), current_num_threads())
+                    })
+                    .collect();
+                (seen, (current_thread_index(), current_num_threads()))
+            });
+            let at = format!("{threads} threads, {len} items");
+            assert_eq!(seen, vec![(caller, Some(0), threads); len], "{at}");
+            assert_eq!(after, (None, threads), "the caller's context is restored ({at})");
+        }
     }
 
     #[test]
